@@ -19,7 +19,7 @@ from .oracle import errata_report, weighted_from_definition
 from .partitions import CapExceeded, parse_partition
 from .qrational import QRat
 from .tau import HurwitzResult, connected_any, hurwitz_any
-from .tables import KNOWN_ERRATA, compare_tables, table_ids
+from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, table_ids
 from .weights import WeightModel, parse_model, qrat_pretty, specialize
 
 EXIT_OK = 0
@@ -229,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"hurwitz: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPS
+    except PipelineDisagreement as exc:
+        print(f"hurwitz: verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, ZeroDivisionError) as exc:
         print(f"hurwitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,12 +7,23 @@ is divided out and the denominator is normalized monic, with its leading
 coefficient folded into the numerator.  Equality of normalized values is
 plain componentwise equality.
 
+Quantum values have the shape P(q) / (q;q)_m, and for those no gcd is
+needed.  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k), with Phi_k the
+monic cyclotomic polynomials, `QRat.over_pochhammer` reduces P / (q;q)_m by
+exact trial division of P by each Phi_k, as often as Phi_k's multiplicity
+in the denominator allows; what is left over is coprime by construction.
+`QRat.pochhammer_form` goes the other way, reading the least m off the
+Phi_k multiplicities of a denominator.  `q_multinomial` gives the integer
+polynomials (q;q)_m / prod (q;q)_i^e_i from which the numerators are built.
+All three compute on integer coefficient lists.
+
 This is the exact value ring in which the quantum-weight tables are
 verified as identities; nothing here is ever evaluated in floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -163,6 +174,114 @@ def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     return a.monic()
 
 
+def qq_pochhammer(m: int) -> QPoly:
+    """(1-q)(1-q^2)...(1-q^m); the empty product for m = 0."""
+    return QPoly(q_multinomial(m, ()))
+
+
+def q_multinomial(m: int, exps: Sequence[int]) -> list[int]:
+    """Integer coefficients, ascending, of (q;q)_m / prod_i (q;q)_i^exps[i-1].
+
+    Requires sum(i * exps[i-1]) <= m.  The quotient is then a q-multinomial
+    coefficient times (q;q)_m / (q;q)_w for that weight w, hence an integer
+    polynomial, and every division below is exact.
+    """
+    if m < 0:
+        raise ValueError("index must be >= 0")
+    if sum(i * e for i, e in enumerate(exps, start=1)) > m:
+        raise ValueError(f"exponents {tuple(exps)} weigh more than {m}")
+    # power[k]: exponent of (1 - q^k), one from (q;q)_m less one per part >= k
+    power = [1] * (m + 1)
+    for i, e in enumerate(exps, start=1):
+        if e:
+            for k in range(1, i + 1):
+                power[k] -= e
+    p = [1]
+    for k in range(1, m + 1):
+        if power[k] > 0:
+            p = _times_one_minus(p, k)
+    for k in range(1, m + 1):
+        for _ in range(-power[k]):
+            p = _over_one_minus(p, k)
+    return p
+
+
+def _times_one_minus(p: list[int], k: int) -> list[int]:
+    out = p + [0] * k
+    for j, c in enumerate(p):
+        out[j + k] -= c
+    return out
+
+
+def _over_one_minus(p: list[int], k: int) -> list[int]:
+    # exact quotient by 1 - q^k: p = (1 - q^k) * quo gives quo_j = p_j + quo_{j-k}
+    quo = p[:len(p) - k]
+    for j in range(k, len(quo)):
+        quo[j] += quo[j - k]
+    return quo
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divide_monic(p: list[int], f: list[int]) -> list[int] | None:
+    """p / f for a nonzero p and a monic f, or None when f does not divide p."""
+    top = len(f) - 1
+    n = len(p) - top
+    if n <= 0:
+        return None
+    rem = list(p)
+    quo = [0] * n
+    for j in range(n - 1, -1, -1):
+        c = rem[j + top]
+        if c:
+            quo[j] = c
+            for i in range(top + 1):
+                rem[j + i] -= c * f[i]
+    return None if any(rem[:top]) else quo
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def _cyclotomic(k: int) -> list[int]:
+    """Coefficients of the monic cyclotomic polynomial Phi_k, ascending."""
+    if k == 1:
+        return [-1, 1]
+    # Phi_k = prod_{d | k} (1 - q^d)^mu(k/d) for k > 1; the signs cancel
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    p = [1]
+    for d in divisors:
+        if _mobius(k // d) == 1:
+            p = _times_one_minus(p, d)
+    for d in divisors:
+        if _mobius(k // d) == -1:
+            p = _over_one_minus(p, d)
+    return p
+
+
+def _qrat(num: QPoly, den: QPoly) -> QRat:
+    # internal fast path: num and den already coprime, den monic
+    v = QRat.__new__(QRat)
+    v._num, v._den = num, den
+    return v
+
+
 class QRat:
     """Reduced fraction of QPolys with monic denominator."""
 
@@ -191,6 +310,54 @@ class QRat:
     @staticmethod
     def from_poly(p: QPoly) -> QRat:
         return QRat(p)
+
+    @staticmethod
+    def over_pochhammer(num: QPoly, m: int) -> QRat:
+        """The normalized value num / (q;q)_m, reduced without a gcd.
+
+        (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k).  Each Phi_k is divided
+        out of num while it divides exactly and its multiplicity is not used
+        up; the remaining Phi_k powers are the monic denominator, coprime to
+        what is left of num, and the sign moves into the numerator.
+        """
+        if m < 0:
+            raise ValueError("index must be >= 0")
+        if not num:
+            return QRat(num)
+        scale = math.lcm(*(c.denominator for c in num.coeffs))
+        p = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+        den = [1]
+        for k in range(1, m + 1):
+            phi = _cyclotomic(k)
+            left = m // k
+            while left and (quo := _divide_monic(p, phi)) is not None:
+                p, left = quo, left - 1
+            for _ in range(left):
+                den = _int_mul(den, phi)
+        return _qrat(QPoly(p).scale(Fraction((-1) ** m, scale)), QPoly(den))
+
+    def pochhammer_form(self, max_index: int) -> tuple[int, QPoly] | None:
+        """(m, P) with self = P / (q;q)_m for the least such m, if m <= max_index.
+
+        The least m is max(k * n_k) over the multiplicities n_k of Phi_k in
+        the denominator.  None when the denominator is not a product of
+        Phi_k, k <= max_index, or when that m exceeds max_index.
+        """
+        if any(c.denominator != 1 for c in self._den.coeffs):
+            return None
+        den = [c.numerator for c in self._den.coeffs]
+        rest, m = den, 0
+        for k in range(1, max_index + 1):
+            if len(rest) == 1:
+                break
+            phi, n = _cyclotomic(k), 0
+            while (quo := _divide_monic(rest, phi)) is not None:
+                rest, n = quo, n + 1
+            m = max(m, k * n)
+        if len(rest) != 1 or m > max_index:
+            return None
+        cofactor = _divide_monic(q_multinomial(m, ()), den)
+        return m, self._num * QPoly(cofactor)
 
     @property
     def num(self) -> QPoly:

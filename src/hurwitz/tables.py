@@ -26,7 +26,11 @@ from .correlator import (
 from .partitions import Partition, format_partition
 from .qrational import QPoly, QRat
 from .tau import connected_any, hurwitz_any
-from .weights import WeightModel, qq_pochhammer, qrat_pretty, specialize
+from .weights import WeightModel, qrat_pretty, specialize
+
+
+class PipelineDisagreement(RuntimeError):
+    """Two independent pipelines computed different values for one cell."""
 
 
 def _t(coef, **powers) -> GPoly:
@@ -48,7 +52,7 @@ def _sc(scale, *terms: GPoly) -> GPoly:
 
 
 def _qv(coeffs, scalar, poch) -> QRat:
-    return QRat(QPoly(coeffs), qq_pochhammer(poch).scale(scalar))
+    return QRat.over_pochhammer(QPoly(coeffs).scale(Fraction(1, scalar)), poch)
 
 
 F = Fraction
@@ -311,7 +315,7 @@ def _engine_generic(mu: Partition, d: int, connected: bool):
             via_corr = nonconnected_assemble(mu, d, connected_closed_form)
         pipelines["correlator"] = str(via_corr)
         if via_corr != via_tau:
-            raise RuntimeError(
+            raise PipelineDisagreement(
                 f"pipeline disagreement at mu={mu}, d={d}, connected={connected}: "
                 f"tau={via_tau} correlator={via_corr}"
             )
@@ -359,7 +363,7 @@ def _exp_value(mu: Partition, d: int, connected: bool) -> tuple[Fraction, dict]:
         oracle_val = weighted_from_definition(mu, d, model)
         pipelines["oracle"] = str(oracle_val)
         if oracle_val != value:
-            raise RuntimeError(
+            raise PipelineDisagreement(
                 f"oracle disagreement at mu={mu}, d={d}: {oracle_val} vs {value}"
             )
     return value, pipelines
@@ -371,10 +375,12 @@ def _quantum_specialized(mu: Partition, d: int, connected: bool) -> QRat:
     return specialize(generic, WeightModel.quantum())
 
 
-def _quantum_value(mu: Partition, d: int, connected: bool) -> tuple[QRat, dict]:
+def _quantum_value(mu: Partition, d: int, connected: bool) -> tuple[QRat, str, dict]:
+    """The value, its (q;q)_m display, and that display for each pipeline."""
     _, pipelines = _engine_generic(mu, d, connected)
     value = _quantum_specialized(mu, d, connected)
-    return value, {name: qrat_pretty(value) for name in pipelines}
+    shown = qrat_pretty(value)
+    return value, shown, {name: shown for name in pipelines}
 
 
 def _rows_generic(printed: dict, connected: bool) -> list[dict]:
@@ -437,12 +443,12 @@ def _rows_exp(table_id: str) -> list[dict]:
 def _rows_quantum(printed: dict, connected: bool) -> list[dict]:
     rows = []
     for (mu, d), want in sorted(printed.items()):
-        got, pipelines = _quantum_value(mu, d, connected)
+        got, shown, pipelines = _quantum_value(mu, d, connected)
         rows.append(
             {
                 "cell": _mu_cell(mu, d),
                 "printed": qrat_pretty(want),
-                "computed": qrat_pretty(got),
+                "computed": shown,
                 "match": want == got,
                 "provenance": "printed",
                 "pipelines": pipelines,

@@ -162,14 +162,13 @@ def check_quantum_tables() -> CheckResult:
                 failures.append(f"{table_id} {row['cell']}: {state}")
     # spot values, exactly as published
     from .qrational import QPoly, QRat
-    from .weights import qq_pochhammer
 
     q_model = WeightModel.quantum()
     h1 = specialize(hurwitz_any((2,), 1), q_model)
-    if h1 != QRat(QPoly([1]), qq_pochhammer(1).scale(2)):
+    if h1 != QRat.over_pochhammer(QPoly([Fraction(1, 2)]), 1):
         failures.append(f"spot H^1((2)) = {h1} != 1/(2(q;q)_1)")
     h5 = specialize(hurwitz_any((2, 1), 5), q_model)
-    want = QRat(QPoly([21, 10, 14, 14, 14, 4, 4]), qq_pochhammer(5).scale(2))
+    want = QRat.over_pochhammer(QPoly([21, 10, 14, 14, 14, 4, 4]).scale(Fraction(1, 2)), 5)
     if h5 != want:
         failures.append(f"spot H^5((2,1)) mismatch: {h5}")
     return _timed("4 quantum tables (B10-B13, exact QRat)", failures, "", t0)

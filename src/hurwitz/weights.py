@@ -11,8 +11,15 @@ Supported models and their coefficient sequences g_1, g_2, ...:
   taylor       explicit list of rational coefficients
 
 Specialization is plain polynomial evaluation in the model's ring; it is a
-ring homomorphism, which the tests exercise.  The (q;q)_m display form is a
-formatter only and is never used for equality.
+ring homomorphism, which the tests exercise.  The one exception is symbolic
+q, where evaluating term by term would add rational functions and run a
+gcd per term.  There, with D the top weighted degree of the value, every
+monomial prod g_i^e_i equals the integer q-multinomial polynomial
+(q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the value is P / (q;q)_D with
+P summed in integers, reduced once by cyclotomic trial division
+(`QRat.over_pochhammer`).  The (q;q)_m display form reads m off the
+cyclotomic factors of the denominator; it is a formatter only and is never
+used for equality.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Any, Sequence
 
 from .algebra import GPOLY_RING, GPoly, RATIONAL_RING, Ring, eval_gpoly
 from .partitions import sym_eval
-from .qrational import QPoly, QRat
+from .qrational import QPoly, QRat, q_multinomial, qq_pochhammer
 
 QRAT_RING = Ring("qrat", QRat.const(0), QRat.const(1), QRat.const)
 
@@ -152,16 +159,6 @@ def _parse_q(rest: str) -> Fraction:
     return Fraction(val)
 
 
-def qq_pochhammer(i: int) -> QPoly:
-    """(1-q)(1-q^2)...(1-q^i); the empty product for i = 0."""
-    if i < 0:
-        raise ValueError("index must be >= 0")
-    out = QPoly.const(1)
-    for k in range(1, i + 1):
-        out = out * QPoly([1] + [0] * (k - 1) + [-1])
-    return out
-
-
 def taylor_coeffs(model: WeightModel, upto: int) -> list[Any]:
     """g_1 .. g_upto in the model's ring."""
     if upto < 0:
@@ -202,9 +199,24 @@ def taylor_coeffs(model: WeightModel, upto: int) -> list[Any]:
 
 def specialize(p: GPoly, model: WeightModel) -> Any:
     """Evaluate a generic value in the model's coefficient ring."""
+    if model.symbolic_q:
+        return _specialize_symbolic_q(p)
     needed = max(p.variables(), default=0)
     assignment = {i + 1: v for i, v in enumerate(taylor_coeffs(model, needed))}
     return eval_gpoly(p, assignment, model.ring)
+
+
+def _specialize_symbolic_q(p: GPoly) -> QRat:
+    # P = sum c * (q;q)_D / prod (q;q)_i^e_i over a common denominator
+    top = max(p.weighted_degree(), 0)
+    terms = p.terms
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    acc = [0] * (top * (top + 1) // 2 + 1)
+    for exp, coef in terms.items():
+        c = coef.numerator * (scale // coef.denominator)
+        for j, x in enumerate(q_multinomial(top, exp)):
+            acc[j] += c * x
+    return QRat.over_pochhammer(QPoly(acc).scale(Fraction(1, scale)), top)
 
 
 # -- display-only (q;q)_m formatter --------------------------------------
@@ -219,27 +231,25 @@ def qrat_pretty(v: QRat, max_index: int = 24) -> str:
     """
     if v.is_zero():
         return "0"
-    for m in range(max_index + 1):
-        candidate = v * QRat.from_poly(qq_pochhammer(m))
-        if not candidate.is_polynomial():
-            continue
-        num = candidate.num  # den is the constant 1 after normalization
-        denom_lcm = 1
-        for coef in num.coeffs:
-            denom_lcm = denom_lcm * coef.denominator // math.gcd(denom_lcm, coef.denominator)
-        scaled = num.scale(denom_lcm)
-        content = 0
-        for coef in scaled.coeffs:
-            content = math.gcd(content, coef.numerator)
-        content = content or 1
-        poly = scaled.scale(Fraction(1, content))
-        scalar = Fraction(denom_lcm, content)
-        num_s = str(poly) if len([c for c in poly.coeffs if c]) == 1 else f"({poly})"
-        if m == 0:
-            return num_s if scalar == 1 else f"{num_s} / {scalar}"
-        poch = f"(q;q)_{m}" if scalar == 1 else f"{scalar}(q;q)_{m}"
-        return f"{num_s} / ({poch})"
-    return str(v)
+    form = v.pochhammer_form(max_index)
+    if form is None:
+        return str(v)
+    m, num = form
+    denom_lcm = 1
+    for coef in num.coeffs:
+        denom_lcm = denom_lcm * coef.denominator // math.gcd(denom_lcm, coef.denominator)
+    scaled = num.scale(denom_lcm)
+    content = 0
+    for coef in scaled.coeffs:
+        content = math.gcd(content, coef.numerator)
+    content = content or 1
+    poly = scaled.scale(Fraction(1, content))
+    scalar = Fraction(denom_lcm, content)
+    num_s = str(poly) if len([c for c in poly.coeffs if c]) == 1 else f"({poly})"
+    if m == 0:
+        return num_s if scalar == 1 else f"{num_s} / {scalar}"
+    poch = f"(q;q)_{m}" if scalar == 1 else f"{scalar}(q;q)_{m}"
+    return f"{num_s} / ({poch})"
 
 
 def qrat_pretty_parse(text: str) -> QRat:
@@ -258,10 +268,8 @@ def qrat_pretty_parse(text: str) -> QRat:
     if "(q;q)_" in den_s:
         scalar_s, _, idx_s = den_s.partition("(q;q)_")
         scalar = Fraction(scalar_s) if scalar_s else Fraction(1)
-        den = qq_pochhammer(int(idx_s)).scale(scalar)
-    else:
-        den = QPoly.const(Fraction(den_s))
-    return QRat(num, den)
+        return QRat.over_pochhammer(num.scale(1 / scalar), int(idx_s))
+    return QRat(num, QPoly.const(Fraction(den_s)))
 
 
 def _parse_qpoly(text: str) -> QPoly:

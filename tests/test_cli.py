@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from hurwitz import tables
+from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.tau import HurwitzResult
 
@@ -127,6 +129,18 @@ def test_table_csv(capsys):
     statuses = {row[0]: row[2] for row in rows[1:]}
     assert statuses["(2,1) d=3 connected"] == "ERRATUM"
     assert statuses["(2,1) d=3 nonconnected"] == "ok"
+
+
+def test_pipeline_disagreement_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(tables, "connected_closed_form", lambda mu, d: GPoly.var(1))
+    tables._engine_generic.cache_clear()
+    try:
+        code, _, err = run_cli(capsys, "table", "B5")
+    finally:
+        tables._engine_generic.cache_clear()
+    assert code == 3
+    assert err.startswith("hurwitz: verification failed: pipeline disagreement")
+    assert err.count("\n") == 1
 
 
 def test_table_unknown(capsys):

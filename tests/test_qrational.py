@@ -1,10 +1,11 @@
 """QPoly / QRat exact field arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hurwitz.qrational import QPoly, QRat, qpoly_gcd
+from hurwitz.qrational import QPoly, QRat, q_multinomial, qpoly_gcd, qq_pochhammer
 
 one_minus_q = QPoly([1, -1])
 one_minus_q2 = QPoly([1, 0, -1])
@@ -84,3 +85,29 @@ def test_evaluate():
 def test_json_round_trip():
     v = QRat(QPoly([1, Fraction(2, 3)]), QPoly([1, 0, -1]))
     assert QRat.from_json(v.to_json()) == v
+
+
+def test_q_multinomial():
+    # [4 choose 2]_q = (q;q)_4 / (q;q)_2^2
+    assert q_multinomial(4, (0, 2)) == [1, 1, 2, 1, 1]
+    # lighter exponents leave (q;q)_m / (q;q)_w as a factor
+    assert QPoly(q_multinomial(3, (1,))) == qq_pochhammer(3).divmod(qq_pochhammer(1))[0]
+    assert q_multinomial(0, ()) == [1]
+    with pytest.raises(ValueError):
+        q_multinomial(2, (1, 1))
+
+
+def test_over_pochhammer_matches_gcd_reduction():
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(0, 9)
+        num = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 5))])
+        # multiples of (q;q)_j factors exercise the cyclotomic cancellation
+        num = num * qq_pochhammer(rng.randint(0, m + 2))
+        got = QRat.over_pochhammer(num, m)
+        want = QRat(num, qq_pochhammer(m))
+        assert (got.num, got.den) == (want.num, want.den)
+        if not got.is_zero():
+            k, poly = got.pochhammer_form(24)
+            assert k <= m and QRat.over_pochhammer(poly, k) == got

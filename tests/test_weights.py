@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.algebra import GPoly
+from hurwitz.algebra import GPoly, eval_gpoly
+from hurwitz.cli import main
+from hurwitz.partitions import partitions_of
 from hurwitz.qrational import QPoly, QRat
+from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import (
+    QRAT_RING,
     WeightModel,
     parse_model,
     qq_pochhammer,
@@ -163,3 +167,57 @@ def test_qrat_pretty_round_trip():
         if v.is_zero():
             continue
         assert qrat_pretty_parse(qrat_pretty(v)) == v
+
+
+def _quantum_grid():
+    """Generic values for |mu| <= 4, d <= 6, connected and not, plus
+    non-homogeneous polynomials and zero."""
+    values = [GPoly.zero(), GPoly.const(F(7, 3)),
+              g(1) * g(3) + g(2).scale(F(-5, 2)) + GPoly.const(4),
+              hurwitz_any((2, 1), 5) + hurwitz_any((2, 1), 3).scale(F(2, 7)) + g(4)]
+    for n in range(1, 5):
+        for mu in partitions_of(n):
+            for d in range(7):
+                values.append(hurwitz_any(mu, d))
+                values.append(connected_any(mu, d))
+    return values
+
+
+def test_specialize_symbolic_q_matches_qrat_evaluation():
+    model = WeightModel.quantum()
+    for p in _quantum_grid():
+        gs = taylor_coeffs(model, max(p.variables(), default=0))
+        want = eval_gpoly(p, dict(enumerate(gs, start=1)), QRAT_RING)
+        got = specialize(p, model)
+        assert (got.num, got.den) == (want.num, want.den), p
+
+
+def test_specialize_symbolic_q_then_evaluate_matches_numeric_q():
+    q = F(1, 3)
+    for p in _quantum_grid():
+        assert specialize(p, WeightModel.quantum()).evaluate(q) == \
+            specialize(p, WeightModel.quantum(q))
+
+
+def test_qrat_pretty_fallbacks():
+    one_minus_q_pow = QPoly([1])
+    for _ in range(24):
+        one_minus_q_pow = one_minus_q_pow * QPoly([1, -1])
+    at_limit = QRat(QPoly([1]), one_minus_q_pow)                 # m = 24
+    assert qrat_pretty(at_limit).endswith("(q;q)_24)")
+    assert qrat_pretty_parse(qrat_pretty(at_limit)) == at_limit
+    not_cyclotomic = QRat(QPoly([1]), QPoly([1, 2]))             # 1/(1+2q)
+    beyond_index = QRat(QPoly([1]), QPoly([1] + [0] * 24 + [-1]))  # 1/(1-q^25)
+    too_many = QRat(QPoly([1]), one_minus_q_pow * QPoly([1, -1]))  # m = 25
+    for v in (not_cyclotomic, beyond_index, too_many):
+        assert qrat_pretty(v) == str(v)
+
+
+def test_compute_quantum_large_profile(capsys):
+    code = main(["compute", "--mu", "3,3,2,2", "--d", "12", "--weights", "quantum"])
+    out = capsys.readouterr().out
+    assert code == 0
+    shown = out.strip().split(" = ", 1)[1]
+    assert shown.endswith("(q;q)_12)")
+    want = specialize(hurwitz_any((3, 3, 2, 2), 12), WeightModel.quantum())
+    assert qrat_pretty_parse(shown) == want
