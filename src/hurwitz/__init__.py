@@ -47,10 +47,9 @@ from .partitions import (
 from .qrational import QPoly, QRat
 from .series import BetaSeries, TruncationError, g_series, series_mul
 from .tau import (
-    ContentProductSeries,
     HurwitzResult,
     connected_any,
-    content_product,
+    content_monomials,
     genus_slice,
     hurwitz_any,
 )
@@ -68,13 +67,13 @@ from .weights import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BetaSeries", "CapExceeded", "CoeffArray", "ContentProductSeries",
+    "BetaSeries", "CapExceeded", "CoeffArray",
     "FactorizationQuery", "GPOLY_RING", "GPoly", "HurwitzResult", "Partition",
     "QPoly", "QRAT_RING", "QRat", "RATIONAL_RING", "RhoTable", "Ring",
     "TruncationError", "WeightModel", "aut_of", "character",
     "connected_any", "connected_closed_form", "connected_from_wtilde",
     "connected_len1", "connected_len2", "connected_len3", "connected_via_wtilde",
-    "content_product", "contents", "errata_report", "eval_gpoly",
+    "content_monomials", "contents", "errata_report", "eval_gpoly",
     "format_partition", "g_series", "genus_slice", "hook_product",
     "hurwitz_any", "nonconnected_assemble", "parse_model", "parse_partition",
     "partitions_of", "pure_hurwitz_char", "pure_hurwitz_enum", "qq_pochhammer",

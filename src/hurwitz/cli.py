@@ -7,18 +7,19 @@ Exit codes: 0 success, 1 usage error, 2 computation cap exceeded,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble
 from .oracle import errata_report, weighted_from_definition
 from .partitions import CapExceeded, parse_partition
 from .qrational import QRat
-from .tau import HurwitzResult, connected_any, hurwitz_any
+from .tau import HurwitzResult, check_caps, connected_any, hurwitz_any
 from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, table_ids
 from .weights import WeightModel, parse_model, qrat_pretty, specialize
 
@@ -66,7 +67,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    # built on the first call to main, once per process: parse_args keeps
+    # no state between calls
     parser = _Parser(prog="hurwitz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -79,7 +83,6 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--connected", action="store_true")
     p_compute.add_argument("--pipeline", choices=PIPELINES, default="auto")
     p_compute.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_compute.add_argument("--jobs", type=int, default=1, help="parallel work items")
     p_compute.add_argument("--max-weight", type=int, default=10,
                            help="profile weight cap for the character pipeline")
     p_compute.add_argument("--max-degree", type=int, default=12,
@@ -109,6 +112,16 @@ def _d_values(args) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
+def _vanishes(mu: tuple[int, ...], d: int, connected: bool) -> bool:
+    """Selection rules: the value is 0 when d - N - l is odd (parity), below
+    the genus-0 bound d < N + l - 2 for connected values, and below the
+    colength bound d < N - l for nonconnected ones."""
+    N, ell = sum(mu), len(mu)
+    if (d - N - ell) % 2:
+        return True
+    return d < (N + ell - 2 if connected else N - ell)
+
+
 def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
     mu, model = config.mu, config.model
     pipeline = config.pipeline
@@ -117,7 +130,11 @@ def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
     if pipeline == "oracle":
         value = weighted_from_definition(mu, d, model, connected=config.connected)
         return HurwitzResult(mu, d, config.connected, "oracle", value, model.describe())
-    if pipeline == "correlator":
+    if pipeline == "tau":   # caps come before the selection rules
+        check_caps(mu, d, config.weight_cap, config.degree_cap)
+    if _vanishes(mu, d, config.connected):
+        generic = GPoly.zero()
+    elif pipeline == "correlator":
         generic = (connected_closed_form(mu, d) if config.connected
                    else nonconnected_assemble(mu, d, connected_closed_form))
     elif config.connected:
@@ -147,12 +164,7 @@ def cmd_compute(args) -> int:
         weight_cap=args.max_weight,
         degree_cap=args.max_degree,
     )
-    items = sorted(config.d_values)
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda d: _compute_one(config, d), items))
-    else:
-        results = [_compute_one(config, d) for d in items]
+    results = [_compute_one(config, d) for d in sorted(config.d_values)]
 
     if config.output == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))

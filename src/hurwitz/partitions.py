@@ -58,14 +58,6 @@ def format_partition(mu: Partition) -> str:
     return ",".join(str(p) for p in mu)
 
 
-def weight(mu: Partition) -> int:
-    return sum(mu)
-
-
-def length(mu: Partition) -> int:
-    return len(mu)
-
-
 def colength(mu: Partition) -> int:
     return sum(mu) - len(mu)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import GPoly, RationalLike
 
@@ -122,13 +122,6 @@ def series_mul(a: BetaSeries, b: BetaSeries, order: int | None = None) -> BetaSe
     return BetaSeries(out)
 
 
-def series_prod(factors: Iterable[BetaSeries], order: int) -> BetaSeries:
-    out = BetaSeries.unit(order)
-    for f in factors:
-        out = series_mul(out, f, order)
-    return out
-
-
 @lru_cache(maxsize=None)
 def g_series(c: int, order: int) -> BetaSeries:
     """G(c*beta) truncated: 1 + sum_k g_k c^k beta^k (the unit series for c=0)."""
@@ -143,7 +136,7 @@ def g_product(multipliers: tuple[int, ...], order: int) -> BetaSeries:
     """prod_i G(m_i * beta) truncated at `order`.
 
     Cached per prefix; callers pass sorted multipliers so overlapping
-    products (content products, rho kernels) share partial results.
+    products (the rho kernels) share partial results.
     """
     if not multipliers:
         return BetaSeries.unit(order)

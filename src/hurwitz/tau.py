@@ -7,18 +7,32 @@ is the coefficient extraction
               chi_lambda(mu) / (hook_product(lambda) * z_mu)
               * [beta^d] prod over boxes (i,j) of lambda of G((j - i) beta).
 
-Connected values follow by Moebius inversion over set partitions of the
-labeled profile entries, with the |aut| bookkeeping that makes the
-coefficient of one ordered monomial equal |aut(mu)| times the value.
+The coefficient of g_nu in [beta^d] of the content product is the
+monomial symmetric function m_nu evaluated at the box contents, an integer
+(Guay-Paquet and Harnad, J. Math. Phys. 58 (2017)); `content_monomials`
+tabulates these integers and `hurwitz_any` weighs them by the characters.
+
+Connected values follow from the exponential formula over the labeled
+profile entries, with the block holding the first label pinned (Stanley,
+EC2 section 5.1): with phi = |aut| * nonconnected and psi = |aut| *
+connected,
+
+    psi(mu, d) = phi(mu, d) - sum over blocks B, first label in B, B != mu,
+                 sum over k of psi(B, k) * phi(mu minus B, d - k),
+
+where equal (block, rest) multiset pairs are summed once with their count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any
+from itertools import combinations
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from .algebra import GPoly
 from .partitions import (
@@ -27,34 +41,56 @@ from .partitions import (
     as_partition,
     aut_of,
     character,
-    compositions_of,
     contents,
     format_partition,
     hook_product,
     partitions_of,
-    set_partitions,
     z_of,
 )
-from .series import BetaSeries, g_product
 
 WEIGHT_CAP = 10
 DEGREE_CAP = 12
 
 
-@dataclass(frozen=True)
-class ContentProductSeries:
-    """The box-content product series of a diagram, truncated in beta."""
-
-    lam: Partition
-    series: BetaSeries
+def check_caps(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
+               degree_cap: int = DEGREE_CAP) -> None:
+    """Raise CapExceeded if (mu, d) lies outside the pipeline's caps."""
+    if sum(mu) > weight_cap:
+        raise CapExceeded(f"|mu| = {sum(mu)} exceeds cap {weight_cap}")
+    if d > degree_cap:
+        raise CapExceeded(f"d = {d} exceeds cap {degree_cap}")
 
 
 @lru_cache(maxsize=None)
-def content_product(lam: Partition, order: int) -> ContentProductSeries:
-    """prod over boxes of G(content * beta); the empty diagram gives 1."""
-    lam = as_partition(lam)
-    cs = tuple(sorted(contents(lam)))
-    return ContentProductSeries(lam, g_product(cs, order))
+def content_monomials(lam: Partition, d: int) -> Mapping[Partition, int]:
+    """{nu |- d: m_nu(contents of lam)}, the nonzero integer coefficients of
+    [beta^d] prod over boxes of G(content * beta) in the basis g_nu.
+
+    Each box picks one factor g_k (content^k) or 1; boxes of content 0 only
+    ever pick 1.  The table maps partial picks, as sorted nu, to their sum.
+    """
+    table: dict[Partition, int] = {(): 1}
+    for c in contents(as_partition(lam)):
+        if not c:
+            continue
+        grown = dict(table)
+        for nu, m in table.items():
+            room = d - sum(nu)
+            power = m
+            for k in range(1, room + 1):
+                power *= c
+                key = as_partition(nu + (k,))
+                grown[key] = grown.get(key, 0) + power
+        table = grown
+    return MappingProxyType({nu: m for nu, m in table.items() if m and sum(nu) == d})
+
+
+def _exponent(nu: Partition) -> tuple[int, ...]:
+    """Exponent vector of g_nu = prod over parts k of g_k."""
+    exp = [0] * (nu[0] if nu else 0)
+    for k in nu:
+        exp[k - 1] += 1
+    return tuple(exp)
 
 
 @lru_cache(maxsize=None)
@@ -62,53 +98,56 @@ def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
                 degree_cap: int = DEGREE_CAP) -> GPoly:
     """Nonconnected generic value for any profile length."""
     mu = as_partition(mu)
-    if sum(mu) > weight_cap:
-        raise CapExceeded(f"|mu| = {sum(mu)} exceeds cap {weight_cap}")
-    if d > degree_cap:
-        raise CapExceeded(f"d = {d} exceeds cap {degree_cap}")
+    check_caps(mu, d, weight_cap, degree_cap)
     if d < 0:
         raise ValueError("d must be >= 0")
     N = sum(mu)
-    z = z_of(mu)
-    acc = GPoly.zero()
+    # chi/hook = chi * f_lambda / N! with f_lambda = N!/hook an integer, so
+    # the sum runs in integers over the common denominator N! * z_mu
+    fact = math.factorial(N)
+    acc: Counter[Partition] = Counter()
     for lam in partitions_of(N):
         chi = character(lam, mu)
         if not chi:
             continue
-        coeff = content_product(lam, d).series.coeff(d)
-        if coeff:
-            acc = acc + coeff.scale(Fraction(chi, hook_product(lam) * z))
-    return acc
+        weight = chi * (fact // hook_product(lam))
+        for nu, m in content_monomials(lam, d).items():
+            acc[nu] += weight * m
+    denom = fact * z_of(mu)
+    return GPoly({_exponent(nu): Fraction(total, denom) for nu, total in acc.items()})
 
 
 @lru_cache(maxsize=None)
 def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
                   degree_cap: int = DEGREE_CAP) -> GPoly:
-    """Connected value for any profile length, by cumulant inversion.
+    """Connected value for any profile length, by the exponential formula.
 
-    Labeled values phi(parts) := |aut(parts)| * H(parts) are combined over
-    set partitions of the label positions with weight (-1)^(l-1) (l-1)! and
-    a convolution of the beta order over blocks, then divided by |aut(mu)|.
+    Labeled values phi(parts) := |aut(parts)| * H(parts) and psi(parts) :=
+    |aut(parts)| * connected(parts) satisfy the recursion of the module
+    docstring; the result is psi(mu, d) / |aut(mu)|.
     """
     mu = as_partition(mu)
     n = len(mu)
     if n == 0:
         return GPoly.one() if d == 0 else GPoly.zero()
-    acc = GPoly.zero()
-    for blocks in set_partitions(range(n)):
-        ell = len(blocks)
-        sign = Fraction((-1) ** (ell - 1) * math.factorial(ell - 1))
-        block_parts = [as_partition(mu[i] for i in block) for block in blocks]
-        for ds in compositions_of(d, ell):
-            term = GPoly.one()
-            for parts, db in zip(block_parts, ds):
-                factor = hurwitz_any(parts, db, weight_cap, degree_cap)
-                if not factor:
-                    term = GPoly.zero()
-                    break
-                term = term * factor.scale(aut_of(parts))
-            if term:
-                acc = acc + term.scale(sign)
+    acc = hurwitz_any(mu, d, weight_cap, degree_cap).scale(aut_of(mu))
+    # blocks holding label 0 other than mu itself, grouped by the multiset
+    # pair (block, rest) they split mu into; both keep mu's decreasing order
+    pairs: Counter[tuple[Partition, Partition]] = Counter()
+    for size in range(n - 1):
+        for others in combinations(range(1, n), size):
+            block = (mu[0],) + tuple(mu[i] for i in others)
+            rest = tuple(mu[i] for i in range(1, n) if i not in others)
+            pairs[block, rest] += 1
+    for (block, rest), count in pairs.items():
+        aut_block, aut_rest = aut_of(block), aut_of(rest)
+        for k in range(d + 1):
+            tail = hurwitz_any(rest, d - k, weight_cap, degree_cap)
+            if not tail:
+                continue
+            head = connected_any(block, k, weight_cap, degree_cap)
+            if head:
+                acc = acc - (head * tail).scale(count * aut_block * aut_rest)
     return acc / aut_of(mu)
 
 

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from hurwitz import tables
+from hurwitz import cli, tables
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
-from hurwitz.tau import HurwitzResult
+from hurwitz.correlator import connected_closed_form, nonconnected_assemble
+from hurwitz.tau import HurwitzResult, connected_any, hurwitz_any
+from hurwitz.weights import parse_model, specialize
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +83,76 @@ def test_compute_cap_exit_code(capsys):
                            "--pipeline", "tau")
     assert code == 2
     assert "cap" in err.lower()
+
+
+def test_compute_parity_zero_is_prompt(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "compute", "--mu", "12", "--d", "30")
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out.strip().endswith("= 0")
+
+
+@pytest.mark.parametrize("model", ["generic", "exp", "quantum", "quantum:q=1/3"])
+def test_selection_rule_zero_matches_pipelines(capsys, model):
+    # (mu, d, connected): parity zeros, then below the genus-0 bound and
+    # below the colength bound with the parity of a nonzero value
+    cases = [((2, 1), 2, False), ((2, 1, 1, 1), 4, True),
+             ((2, 1), 1, True), ((3, 2), 1, True), ((2, 1, 1, 1), 5, True),
+             ((3,), 0, False), ((4, 1, 1, 1), 1, False)]
+    for mu, d, connected in cases:
+        pipelines = ["tau"] + (["correlator"] if len(mu) <= 3 else [])
+        for pipeline in pipelines:
+            argv = ["compute", "--mu", ",".join(map(str, mu)), "--d", str(d),
+                    "--weights", model, "--pipeline", pipeline, "--format", "json"]
+            if connected:
+                argv.append("--connected")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            if pipeline == "tau":
+                generic = (connected_any if connected else hurwitz_any)(mu, d)
+            elif connected:
+                generic = connected_closed_form(mu, d)
+            else:
+                generic = nonconnected_assemble(mu, d, connected_closed_form)
+            assert generic.is_zero()
+            parsed = parse_model(model)
+            value = generic if parsed.kind == "generic" else specialize(generic, parsed)
+            want = HurwitzResult(mu, d, connected, pipeline, value, parsed.describe())
+            assert json.loads(out) == [want.to_json()]
+
+
+def test_oracle_skips_selection_rules(capsys, monkeypatch):
+    calls = []
+    real = cli.weighted_from_definition
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "weighted_from_definition", recording)
+    code, out, _ = run_cli(capsys, "compute", "--mu", "2,1", "--d", "2",
+                           "--weights", "exp", "--pipeline", "oracle")
+    assert code == 0
+    assert calls == [((2, 1), 2, parse_model("exp"))]
+    assert out.strip().endswith("= 0")
+
+
+def test_parser_reuse_behaves_like_fresh_processes(capsys):
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--d", "1"])  # missing --mu
+        return exc.value.code, capsys.readouterr().err
+
+    first = usage_error()
+    assert first[0] == 1 and "--mu" in first[1]
+    code, out, _ = run_cli(capsys, "compute", "--mu", "2,1", "--d", "3",
+                           "--connected", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["connected"] is True
+    code, out, _ = run_cli(capsys, "compute", "--mu", "2,1", "--d", "3",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)[0]["connected"] is False
+    assert usage_error() == first
 
 
 def test_compute_auto_uses_tau_for_long_profiles(capsys):

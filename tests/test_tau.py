@@ -1,16 +1,26 @@
 """Character/content-product pipeline and cumulant inversion."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from hurwitz.algebra import GPoly
-from hurwitz.partitions import CapExceeded
+from hurwitz.partitions import (
+    CapExceeded,
+    as_partition,
+    aut_of,
+    contents,
+    partitions_of,
+    set_partitions,
+)
+from hurwitz.series import g_product
 from hurwitz.tau import (
     HurwitzResult,
     connected_any,
-    content_product,
+    content_monomials,
     genus_slice,
     hurwitz_any,
 )
@@ -19,16 +29,74 @@ g = GPoly.var
 half = Fraction(1, 2)
 
 
+def _as_gpoly(table) -> GPoly:
+    """sum of m * g_nu over the entries nu: m of a content table."""
+    acc = GPoly.zero()
+    for nu, m in table.items():
+        acc = acc + math.prod((g(k) for k in nu), start=GPoly.const(m))
+    return acc
+
+
 def test_content_product_small():
-    assert content_product((2,), 1).series.coeff(1) == g(1)
-    assert content_product((2, 1), 2).series.coeff(2) == g(2) * 2 - g(1) ** 2
-    assert content_product((3,), 3).series.coeff(3) == g(1) * g(2) * 6 + g(3) * 9
-    assert content_product((), 3).series.coeff(0) == GPoly.one()
+    assert content_monomials((2,), 1) == {(1,): 1}                  # g1
+    assert content_monomials((2, 1), 2) == {(2,): 2, (1, 1): -1}    # 2 g2 - g1^2
+    assert content_monomials((3,), 3) == {(2, 1): 6, (3,): 9}       # 6 g1 g2 + 9 g3
+    assert content_monomials((), 0) == {(): 1}
+    assert content_monomials((), 3) == {}
 
 
 def test_content_product_graded():
     for lam in [(3, 1), (2, 2), (4,), (2, 1, 1)]:
-        assert content_product(lam, 5).series.is_graded()
+        for d in range(6):
+            assert all(sum(nu) == d and nu == as_partition(nu)
+                       for nu in content_monomials(lam, d))
+
+
+def test_content_monomials_match_series_product():
+    for N in range(7):
+        for lam in partitions_of(N):
+            series = g_product(tuple(sorted(contents(lam))), 6)
+            for d in range(7):
+                assert _as_gpoly(content_monomials(lam, d)) == series.coeff(d), (lam, d)
+
+
+@lru_cache(maxsize=None)
+def _block_convolution(blocks, d):
+    """Sum over compositions d_1 + ... + d_l = d of prod |aut B_i| H(B_i, d_i)."""
+    if not blocks:
+        return GPoly.one() if d == 0 else GPoly.zero()
+    head, rest = blocks[0], blocks[1:]
+    acc = GPoly.zero()
+    for k in range(d + 1):
+        factor = hurwitz_any(head, k)
+        tail = _block_convolution(rest, d - k) if factor else None
+        if tail:
+            acc = acc + factor.scale(aut_of(head)) * tail
+    return acc
+
+
+def _connected_by_set_partitions(mu, d):
+    """Moebius inversion over all Bell(l) set partitions of the labels, with
+    weight (-1)^(k-1) (k-1)! for k blocks; set partitions with the same
+    multiset of block profiles are summed once, with their count."""
+    groups = Counter()
+    for blocks in set_partitions(range(len(mu))):
+        groups[tuple(sorted(as_partition(mu[i] for i in b) for b in blocks))] += 1
+    acc = GPoly.zero()
+    for blocks, count in groups.items():
+        k = len(blocks)
+        sign = (-1) ** (k - 1) * math.factorial(k - 1)
+        acc = acc + _block_convolution(blocks, d).scale(sign * count)
+    return acc / aut_of(mu)
+
+
+def test_connected_any_matches_set_partition_inversion():
+    for N in range(2, 8):
+        for mu in partitions_of(N):
+            if len(mu) < 2:
+                continue
+            for d in range(11):
+                assert connected_any(mu, d) == _connected_by_set_partitions(mu, d), (mu, d)
 
 
 def test_hurwitz_any_published_values():
