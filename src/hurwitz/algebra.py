@@ -99,9 +99,6 @@ class GPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
-
     def variables(self) -> set[int]:
         """Indices i of the g_i actually occurring."""
         out: set[int] = set()

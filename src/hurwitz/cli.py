@@ -19,7 +19,7 @@ from .correlator import connected_closed_form, nonconnected_assemble
 from .oracle import errata_report, weighted_from_definition
 from .partitions import CapExceeded, parse_partition
 from .qrational import QRat
-from .tau import HurwitzResult, check_caps, connected_any, hurwitz_any
+from .tau import DEGREE_CAP, WEIGHT_CAP, HurwitzResult, check_caps, connected_any, hurwitz_any
 from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, table_ids
 from .weights import WeightModel, parse_model, qrat_pretty, specialize
 
@@ -41,8 +41,8 @@ class RunConfig:
     connected: bool
     pipeline: str
     output: str
-    weight_cap: int = 10
-    degree_cap: int = 12
+    weight_cap: int
+    degree_cap: int
 
     def __post_init__(self):
         if not self.mu:
@@ -83,10 +83,10 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--connected", action="store_true")
     p_compute.add_argument("--pipeline", choices=PIPELINES, default="auto")
     p_compute.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_compute.add_argument("--max-weight", type=int, default=10,
-                           help="profile weight cap for the character pipeline")
-    p_compute.add_argument("--max-degree", type=int, default=12,
-                           help="branching order cap for the character pipeline")
+    p_compute.add_argument("--max-weight", type=int, default=WEIGHT_CAP,
+                           help="profile weight cap for the correlator and tau pipelines")
+    p_compute.add_argument("--max-degree", type=int, default=DEGREE_CAP,
+                           help="branching order cap for the correlator and tau pipelines")
 
     p_table = sub.add_parser("table", help="regenerate a published table")
     p_table.add_argument("which", help="one of " + ", ".join(table_ids()))
@@ -96,7 +96,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--scope", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--errata-out", help="path for the errata report JSON")
     p_verify.add_argument("--cache-dir", default=None,
-                          help="cache directory (default $HURWITZ_CACHE)")
+                          help="directory of the default errata report "
+                               "(default $HURWITZ_CACHE)")
     return parser
 
 
@@ -134,7 +135,8 @@ def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
         check_caps(mu, d, config.weight_cap, config.degree_cap)
     if _vanishes(mu, d, config.connected):
         generic = GPoly.zero()
-    elif pipeline == "correlator":
+    elif pipeline == "correlator":   # after them: a vanishing value of any size prints 0
+        check_caps(mu, d, config.weight_cap, config.degree_cap)
         generic = (connected_closed_form(mu, d) if config.connected
                    else nonconnected_assemble(mu, d, connected_closed_form))
     elif config.connected:
@@ -211,16 +213,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .correlator import RhoTable
     from .verify import run_suite
 
-    cache_dir = args.cache_dir or default_cache_dir()
-    # exercise the advisory disk cache: stale or corrupt files are rebuilt
-    RhoTable.load_or_build(4, 4, 3, cache_dir)
     results = run_suite(args.scope)
     for res in results:
         print(res.line())
-    out_path = args.errata_out or os.path.join(cache_dir, "errata.json")
+    out_path = args.errata_out or os.path.join(
+        args.cache_dir or default_cache_dir(), "errata.json")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     report = errata_report("full" if args.scope == "full" else "quick")
     with open(out_path, "w") as fh:

@@ -13,7 +13,7 @@ Three consumers:
 
 * closed forms for connected values with marked profile of length 1, 2, 3
   (linear / quadratic / cubic cycle sums over the rho grid);
-* `wtilde_expand`, an independent validator that expands the connected
+* `wtilde_series`, an independent validator that expands the connected
   n-point functions directly from single-n-cycle products of pair kernels,
   eliminating the 1/(x_i - x_j) poles exactly with telescoping
   divided-difference identities (any residual pole is a hard error);
@@ -27,20 +27,14 @@ parts.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable
 
 from .algebra import GPoly
 from .partitions import Partition, as_partition, aut_of
-from .series import BetaSeries, TruncationError, g_product, series_mul
-
-RHO_SCHEMA_VERSION = 1
+from .series import BetaSeries, g_product, series_mul
 
 
 @lru_cache(maxsize=None)
@@ -65,103 +59,6 @@ def _rho_pair(a1: int, b1: int, a2: int, b2: int, order: int) -> BetaSeries:
 
 def _rho_pair_coeff(a1: int, b1: int, a2: int, b2: int, d: int) -> GPoly:
     return _rho_pair(a1, b1, a2, b2, d).coeff(d)
-
-
-class RhoTable:
-    """Read-only grid of rho_{ab}(beta) series for 0 <= a <= max_a, 0 <= b <= max_b."""
-
-    def __init__(self, max_a: int, max_b: int, max_d: int,
-                 entries: Mapping[tuple[int, int], BetaSeries]):
-        self.max_a = max_a
-        self.max_b = max_b
-        self.max_d = max_d
-        self._entries = dict(entries)
-
-    @classmethod
-    def build(cls, max_a: int, max_b: int, max_d: int) -> "RhoTable":
-        entries = {
-            (a, b): rho_series(a, b, max_d)
-            for a in range(max_a + 1)
-            for b in range(max_b + 1)
-        }
-        return cls(max_a, max_b, max_d, entries)
-
-    def series(self, a: int, b: int) -> BetaSeries:
-        return self._entries[(a, b)]
-
-    def coeff(self, a: int, b: int, d: int) -> GPoly:
-        return self._entries[(a, b)].coeff(d)
-
-    # -- disk cache ----------------------------------------------------
-
-    def _payload(self) -> dict:
-        return {
-            "schema_version": RHO_SCHEMA_VERSION,
-            "max_a": self.max_a,
-            "max_b": self.max_b,
-            "max_d": self.max_d,
-            "entries": [
-                [self._entries[(a, b)].to_json() for b in range(self.max_b + 1)]
-                for a in range(self.max_a + 1)
-            ],
-        }
-
-    def to_json(self) -> dict:
-        payload = self._payload()
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
-        payload["checksum"] = digest
-        return payload
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RhoTable":
-        if data.get("schema_version") != RHO_SCHEMA_VERSION:
-            raise ValueError("rho cache: schema version mismatch")
-        digest = data.get("checksum")
-        body = {k: v for k, v in data.items() if k != "checksum"}
-        expect = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
-        if digest != expect:
-            raise ValueError("rho cache: checksum mismatch")
-        entries = {
-            (a, b): BetaSeries.from_json(cell)
-            for a, row in enumerate(data["entries"])
-            for b, cell in enumerate(row)
-        }
-        return cls(data["max_a"], data["max_b"], data["max_d"], entries)
-
-    def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json(), fh)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load_or_build(cls, max_a: int, max_b: int, max_d: int,
-                      cache_dir: str | None = None) -> "RhoTable":
-        """Load a valid cached table covering the request, else rebuild.
-
-        Caches are advisory: a missing, stale, or corrupt file is silently
-        replaced by a fresh computation, never trusted.
-        """
-        if cache_dir is None:
-            return cls.build(max_a, max_b, max_d)
-        path = os.path.join(cache_dir, f"rho_{max_a}_{max_b}_{max_d}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    table = cls.from_json(json.load(fh))
-                if (table.max_a, table.max_b, table.max_d) == (max_a, max_b, max_d):
-                    return table
-            except (ValueError, KeyError, json.JSONDecodeError, OSError):
-                pass
-        table = cls.build(max_a, max_b, max_d)
-        os.makedirs(cache_dir, exist_ok=True)
-        try:
-            table.save(path)
-        except OSError:
-            pass
-        return table
 
 
 # -- closed forms for length(mu) <= 3 ------------------------------------
@@ -280,29 +177,6 @@ def nonconnected_assemble(mu: Partition, d: int,
 # -- direct expansion of the connected n-point functions -----------------
 
 
-@dataclass(frozen=True)
-class CoeffArray:
-    """Coefficients of a polynomial n-point expansion.
-
-    data maps exponent tuples (one exponent per marked variable) to the
-    BetaSeries coefficient; exponents run within `bounds` componentwise.
-    """
-
-    n: int
-    bounds: tuple[int, ...]
-    data: dict[tuple[int, ...], BetaSeries]
-
-    def coeff(self, exponents: tuple[int, ...], d: int) -> GPoly:
-        if len(exponents) != self.n:
-            raise ValueError("wrong arity")
-        if any(e < 0 for e in exponents):
-            raise RuntimeError("internal error: residual pole (negative exponent)")
-        if any(e > b for e, b in zip(exponents, self.bounds)):
-            raise TruncationError("exponent outside computed bounds")
-        series = self.data.get(exponents)
-        return series.coeff(d) if series is not None else GPoly.zero()
-
-
 def _telescope(u: int, v: int):
     """Monomials of (x^u y^v - x^v y^u)/(x - y) as ((i, j), sign) pairs.
 
@@ -416,40 +290,6 @@ def wtilde_series(n: int, exponents: tuple[int, ...], order: int) -> BetaSeries:
         raise RuntimeError("internal error: residual pole (negative exponent)")
     kernel = {1: _w1_series, 2: _w2_series, 3: _w3_series}[n]
     return kernel(*exponents, order)
-
-
-def wtilde_expand(n: int, bounds: tuple[int, ...], order: int) -> CoeffArray:
-    """Polynomial part of the connected n-point function, n = 1, 2 or 3.
-
-    Expands the single-n-cycle products of pair kernels and removes every
-    1/(x_i - x_j) factor with the telescoping identity, term by term, over
-    exact GPoly coefficients.  Coefficients are produced for all exponent
-    tuples within `bounds` and all beta powers up to `order`.
-    """
-    if len(bounds) != n:
-        raise ValueError("bounds arity mismatch")
-
-    def exponent_tuples(bs: tuple[int, ...]):
-        if not bs:
-            yield ()
-            return
-        for head in range(bs[0] + 1):
-            for rest in exponent_tuples(bs[1:]):
-                yield (head,) + rest
-
-    data = {exps: wtilde_series(n, exps, order) for exps in exponent_tuples(tuple(bounds))}
-    return CoeffArray(n, tuple(bounds), data)
-
-
-def connected_from_wtilde(array: CoeffArray, mu: Partition, d: int) -> GPoly:
-    """Read a connected value out of a CoeffArray: coefficient at
-    x_i^(mu_i - 1) divided by (prod mu_i) * |aut(mu)|."""
-    mu = as_partition(mu)
-    if len(mu) != array.n:
-        raise ValueError("profile length does not match array arity")
-    exps = tuple(m - 1 for m in mu)
-    denom = math.prod(mu) * aut_of(mu)
-    return array.coeff(exps, d) / denom
 
 
 def connected_via_wtilde(mu: Partition, d: int) -> GPoly:

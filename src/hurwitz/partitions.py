@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Any, Iterable, Sequence
-
-from .algebra import RATIONAL_RING, Ring
 
 Partition = tuple[int, ...]
 
@@ -193,49 +192,38 @@ def _distinct_permutations(parts: Partition):
     yield from rec([])
 
 
-def _ring_prod(ring: Ring, factors: Iterable[Any]) -> Any:
-    out = ring.one
-    for f in factors:
-        out = out * f
-    return out
-
-
-def sym_eval(kind: str, arg: int | Partition, points: Sequence[Any],
-             ring: Ring = RATIONAL_RING) -> Any:
+def sym_eval(kind: str, arg: int | Partition, points: Sequence[Fraction]) -> Fraction:
     """Evaluate e_i / h_i / m_lambda / f_lambda exactly at the given points.
 
     `arg` is the index i for kinds "e" and "h", a partition for "m" and "f".
-    Points are ring values; all arithmetic happens in `ring`.
     """
     if kind == "e":
         i = int(arg)
         if i < 0:
             raise ValueError("negative index")
         if i > len(points):
-            return ring.zero
-        total = ring.zero
+            return Fraction(0)
+        total = Fraction(0)
         for combo in combinations(points, i):
-            total = total + _ring_prod(ring, combo)
+            total = total + math.prod(combo)
         return total
     if kind == "h":
         i = int(arg)
         if i < 0:
             raise ValueError("negative index")
-        total = ring.zero
+        total = Fraction(0)
         for combo in combinations_with_replacement(points, i):
-            total = total + _ring_prod(ring, combo)
+            total = total + math.prod(combo)
         return total
     if kind == "m":
         lam = as_partition(arg)  # type: ignore[arg-type]
         k = len(lam)
         if k > len(points):
-            return ring.zero
-        total = ring.zero
+            return Fraction(0)
+        total = Fraction(0)
         for idx in combinations(range(len(points)), k):
             for arrangement in _distinct_permutations(lam):
-                total = total + _ring_prod(
-                    ring, (_ring_pow(ring, points[i], e) for i, e in zip(idx, arrangement))
-                )
+                total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
         return total
     if kind == "f":
         # forgotten basis at explicit points: sign (-1)^{colength}, indices
@@ -243,21 +231,12 @@ def sym_eval(kind: str, arg: int | Partition, points: Sequence[Any],
         # over all of S_k cancels against counting distinct rearrangements
         lam = as_partition(arg)  # type: ignore[arg-type]
         k = len(lam)
-        total = ring.zero
+        total = Fraction(0)
         for arrangement in _distinct_permutations(lam):
             for idx in combinations_with_replacement(range(len(points)), k):
-                total = total + _ring_prod(
-                    ring, (_ring_pow(ring, points[i], e) for i, e in zip(idx, arrangement))
-                )
+                total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
         return total if colength(lam) % 2 == 0 else -total
     raise ValueError(f"unknown symmetric function kind: {kind!r}")
-
-
-def _ring_pow(ring: Ring, v: Any, e: int) -> Any:
-    out = ring.one
-    for _ in range(e):
-        out = out * v
-    return out
 
 
 def set_partitions(items: Sequence[Any]):

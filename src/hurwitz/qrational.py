@@ -43,10 +43,6 @@ class QPoly:
     def const(c: RationalLike) -> QPoly:
         return QPoly([Fraction(c)])
 
-    @staticmethod
-    def q_power(k: int, coef: RationalLike = 1) -> QPoly:
-        return QPoly([0] * k + [coef])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs

@@ -95,13 +95,6 @@ class BetaSeries:
         """Coefficient of beta^d homogeneous of weighted degree d, all d."""
         return all(c.is_homogeneous(d) for d, c in enumerate(self._coeffs))
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self._coeffs]
-
-    @staticmethod
-    def from_json(data: list) -> BetaSeries:
-        return BetaSeries([GPoly.from_json(c) for c in data])
-
 
 def series_mul(a: BetaSeries, b: BetaSeries, order: int | None = None) -> BetaSeries:
     """Cauchy product truncated at `order` (default: the shorter operand)."""

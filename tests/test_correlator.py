@@ -1,15 +1,12 @@
 """Rho grid, closed forms, the direct expansion, and cumulant assembly."""
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from hurwitz.algebra import GPoly
 from hurwitz.correlator import (
-    RhoTable,
     connected_closed_form,
-    connected_from_wtilde,
     connected_len1,
     connected_len2,
     connected_len3,
@@ -17,7 +14,6 @@ from hurwitz.correlator import (
     nonconnected_assemble,
     rho_coeff,
     rho_series,
-    wtilde_expand,
     wtilde_series,
 )
 from hurwitz.tau import connected_any, hurwitz_any
@@ -92,10 +88,10 @@ def test_nonconnected_matches_character_pipeline():
 
 
 def test_wtilde_n1_matches_len1():
-    arr = wtilde_expand(1, (3,), 4)
     for mu1 in (1, 2, 3, 4):
+        series = wtilde_series(1, (mu1 - 1,), 4)
         for d in range(5):
-            assert arr.coeff((mu1 - 1,), d) == connected_len1(mu1, d).scale(mu1)
+            assert series.coeff(d) == connected_len1(mu1, d).scale(mu1)
 
 
 def test_wtilde_n2_example():
@@ -111,56 +107,8 @@ def test_wtilde_agrees_with_moebius_inversion():
             assert connected_via_wtilde(mu, d) == connected_any(mu, d)
 
 
-def test_wtilde_array_extraction():
-    arr = wtilde_expand(2, (2, 1), 5)
-    assert connected_from_wtilde(arr, (2, 1), 3) == connected_len2(2, 1, 3)
-    with pytest.raises(ValueError):
-        connected_from_wtilde(arr, (2, 1, 1), 3)
-
-
 def test_wtilde_rejects_bad_arity():
     with pytest.raises(ValueError):
-        wtilde_expand(4, (1, 1, 1, 1), 3)
+        wtilde_series(4, (1, 1, 1, 1), 3)
     with pytest.raises(ValueError):
         wtilde_series(2, (1,), 3)
-
-
-def test_rho_table_build_and_lookup():
-    table = RhoTable.build(3, 3, 4)
-    assert table.coeff(0, 1, 1) == g(1).scale(half)
-    assert table.series(2, 2).is_graded()
-
-
-def test_rho_table_cache_round_trip(tmp_path):
-    table = RhoTable.build(2, 2, 3)
-    path = tmp_path / "rho.json"
-    table.save(str(path))
-    loaded = RhoTable.from_json(json.loads(path.read_text()))
-    for a in range(3):
-        for b in range(3):
-            assert loaded.series(a, b) == table.series(a, b)
-
-
-def test_rho_table_corrupt_cache_rejected(tmp_path):
-    cache_dir = tmp_path / "cache"
-    table = RhoTable.load_or_build(2, 2, 3, str(cache_dir))
-    path = cache_dir / "rho_2_2_3.json"
-    assert path.exists()
-    data = json.loads(path.read_text())
-    data["entries"][0][1][1] = []  # tamper with a coefficient
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="checksum"):
-        RhoTable.from_json(json.loads(path.read_text()))
-    # load_or_build falls back to recomputation and heals the file
-    healed = RhoTable.load_or_build(2, 2, 3, str(cache_dir))
-    assert healed.coeff(0, 1, 1) == table.coeff(0, 1, 1)
-    assert RhoTable.from_json(json.loads(path.read_text())).coeff(0, 1, 1) == \
-        table.coeff(0, 1, 1)
-
-
-def test_rho_table_version_bump_invalidates(tmp_path):
-    table = RhoTable.build(1, 1, 2)
-    data = table.to_json()
-    data["schema_version"] = 999
-    with pytest.raises(ValueError, match="schema"):
-        RhoTable.from_json(data)

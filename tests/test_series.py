@@ -70,8 +70,3 @@ def test_graded_products_of_weight_factors():
         prod = g_product(multipliers, 6)
         assert prod.is_graded()
         assert prod.coeff(0) == GPoly.one()
-
-
-def test_series_json_round_trip():
-    s = g_product((1, -2), 4)
-    assert BetaSeries.from_json(s.to_json()) == s
