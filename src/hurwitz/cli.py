@@ -36,7 +36,7 @@ class RunConfig:
     """A validated compute request."""
 
     mu: tuple[int, ...]
-    d_values: tuple[int, ...]
+    d_values: range
     model: WeightModel
     connected: bool
     pipeline: str
@@ -101,16 +101,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _d_values(args) -> list[int]:
+def _d_values(args) -> range:
+    # lazy and ascending: a wide range costs nothing until the caps stop it
     if args.d is not None:
         if args.d < 0:
             raise ValueError("d must be >= 0")
-        return [args.d]
+        return range(args.d, args.d + 1)
     lo, _, hi = args.d_range.partition(":")
     lo_i, hi_i = int(lo), int(hi)
     if lo_i < 0 or hi_i < lo_i:
         raise ValueError(f"bad d range {args.d_range!r}")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def _vanishes(mu: tuple[int, ...], d: int, connected: bool) -> bool:
@@ -158,7 +159,7 @@ def _display(value) -> str:
 def cmd_compute(args) -> int:
     config = RunConfig(
         mu=parse_partition(args.mu),
-        d_values=tuple(_d_values(args)),
+        d_values=_d_values(args),
         model=parse_model(args.weights),
         connected=args.connected,
         pipeline=args.pipeline,
@@ -166,7 +167,7 @@ def cmd_compute(args) -> int:
         weight_cap=args.max_weight,
         degree_cap=args.max_degree,
     )
-    results = [_compute_one(config, d) for d in sorted(config.d_values)]
+    results = [_compute_one(config, d) for d in config.d_values]
 
     if config.output == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineDisagreement as exc:
         print(f"hurwitz: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"hurwitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

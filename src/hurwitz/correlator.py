@@ -8,12 +8,15 @@ whose beta^d coefficient rho^d_{ab} is a homogeneous GPoly of weighted
 degree d.  The scalar denominator divides the whole product once (reading
 it inside the product symbol does not reproduce the small-index reference
 values).  The coefficients satisfy rho^d_{ab} = (-1)^{a+b+d} rho^d_{ba}.
+Only single coefficients are ever read, so `rho_coeff` and the pair
+products are computed and cached per index d, never as truncated series:
+asking for a higher d reuses every lower coefficient already held.
 
 Three consumers:
 
 * closed forms for connected values with marked profile of length 1, 2, 3
   (linear / quadratic / cubic cycle sums over the rho grid);
-* `wtilde_series`, an independent validator that expands the connected
+* `wtilde_coeff`, an independent validator that expands the connected
   n-point functions directly from single-n-cycle products of pair kernels,
   eliminating the 1/(x_i - x_j) poles exactly with telescoping
   divided-difference identities (any residual pole is a hard error);
@@ -34,31 +37,34 @@ from typing import Callable
 
 from .algebra import GPoly
 from .partitions import Partition, as_partition, aut_of
-from .series import BetaSeries, g_product, series_mul
+from .series import g_coeff
 
 
 @lru_cache(maxsize=None)
-def rho_series(a: int, b: int, order: int) -> BetaSeries:
-    """rho_{ab}(beta) truncated at `order`."""
+def rho_coeff(a: int, b: int, d: int) -> GPoly:
+    """rho^d_{ab} as a GPoly."""
     if a < 0 or b < 0:
         raise ValueError("rho indices must be >= 0")
-    factors = tuple(sorted(range(-b, a + 1)))
-    prod = g_product(factors, order)
+    prod = g_coeff(tuple(range(-b, a + 1)), d)
     return prod.scale(Fraction((-1) ** b, math.factorial(a) * math.factorial(b) * (a + b + 1)))
 
 
-def rho_coeff(a: int, b: int, d: int) -> GPoly:
-    """rho^d_{ab} as a GPoly."""
-    return rho_series(a, b, d).coeff(d)
-
-
 @lru_cache(maxsize=None)
-def _rho_pair(a1: int, b1: int, a2: int, b2: int, order: int) -> BetaSeries:
-    return series_mul(rho_series(a1, b1, order), rho_series(a2, b2, order), order)
-
-
 def _rho_pair_coeff(a1: int, b1: int, a2: int, b2: int, d: int) -> GPoly:
-    return _rho_pair(a1, b1, a2, b2, d).coeff(d)
+    """[beta^d] rho_{a1 b1} rho_{a2 b2}."""
+    acc = GPoly.zero()
+    for k in range(d + 1):
+        acc = acc + rho_coeff(a1, b1, k) * rho_coeff(a2, b2, d - k)
+    return acc
+
+
+def _rho_triple_coeff(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int,
+                      d: int) -> GPoly:
+    """[beta^d] rho_{a1 b1} rho_{a2 b2} rho_{a3 b3}."""
+    acc = GPoly.zero()
+    for k in range(d + 1):
+        acc = acc + _rho_pair_coeff(a1, b1, a2, b2, k) * rho_coeff(a3, b3, d - k)
+    return acc
 
 
 # -- closed forms for length(mu) <= 3 ------------------------------------
@@ -113,9 +119,8 @@ def connected_len3(mu1: int, mu2: int, mu3: int, d: int) -> GPoly:
     for a in range(mu1):
         for b in range(mu2):
             for c in range(mu3):
-                pair = _rho_pair(a, mu2 - b - 1, b, mu3 - c - 1, d)
-                third = rho_series(c, mu1 - a - 1, d)
-                acc = acc + series_mul(pair, third, d).coeff(d)
+                acc = acc + _rho_triple_coeff(a, mu2 - b - 1, b, mu3 - c - 1,
+                                              c, mu1 - a - 1, d)
     return acc.scale(Fraction(parity, mu1 * mu2 * mu3 * aut_of((mu1, mu2, mu3))))
 
 
@@ -191,15 +196,15 @@ def _telescope(u: int, v: int):
     return tuple(((t, u + v - 1 - t), -1) for t in range(u, v))
 
 
-def _w1_series(p: int, order: int) -> BetaSeries:
-    acc = BetaSeries.zero(order)
+def _w1(p: int, d: int) -> GPoly:
+    acc = GPoly.zero()
     for a in range(p + 1):
-        acc = acc + rho_series(a, p - a, order)
+        acc = acc + rho_coeff(a, p - a, d)
     return acc
 
 
-def _w2_series(p: int, q: int, order: int) -> BetaSeries:
-    acc = BetaSeries.zero(order)
+def _w2(p: int, q: int, d: int) -> GPoly:
+    acc = GPoly.zero()
     # divided difference of the antisymmetrized kernel
     for a in range(p + q + 2):
         b = p + q + 1 - a
@@ -207,16 +212,16 @@ def _w2_series(p: int, q: int, order: int) -> BetaSeries:
             continue
         for (i, j), sign in _telescope(a, b):
             if i == p and j == q:
-                acc = acc + rho_series(a, b, order).scale(sign)
+                acc = acc + rho_coeff(a, b, d).scale(sign)
     # minus the product of the two kernels
     for a in range(p + 1):
         for b in range(q + 1):
-            acc = acc + _rho_pair(a, q - b, b, p - a, order).scale(-1)
+            acc = acc + _rho_pair_coeff(a, q - b, b, p - a, d).scale(-1)
     return acc
 
 
-def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
-    acc = BetaSeries.zero(order)
+def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
+    acc = GPoly.zero()
     # single-kernel bracket: double divided differences
     for a in range(p1 + p2 + p3 + 3):
         for b in range(p1 + p2 + p3 + 3 - a):
@@ -230,7 +235,7 @@ def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
                     if i == p2 and j == p3:
                         sign_total += sign
             if sign_total:
-                acc = acc + rho_series(a, b, order).scale(sign_total)
+                acc = acc + rho_coeff(a, b, d).scale(sign_total)
     # two-kernel brackets, one divided difference each
     for bexp in range(p3 + 1):
         aexp = p3 - bexp
@@ -240,7 +245,7 @@ def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
                 continue
             for (i, j), sign in _telescope(a, bp):
                 if i == p1 and j == p2:
-                    acc = acc + _rho_pair(a, bexp, aexp, bp, order).scale(-sign)
+                    acc = acc + _rho_pair_coeff(a, bexp, aexp, bp, d).scale(-sign)
     for a in range(p1 + 1):
         bp = p1 - a
         for b in range(p2 + p3 + 2):
@@ -249,7 +254,7 @@ def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
                 continue
             for (i, j), sign in _telescope(b, ap):
                 if i == p2 and j == p3:
-                    acc = acc + _rho_pair(a, b, ap, bp, order).scale(sign)
+                    acc = acc + _rho_pair_coeff(a, b, ap, bp, d).scale(sign)
     for b in range(p2 + 1):
         ap = p2 - b
         for a in range(p1 + p3 + 2):
@@ -258,7 +263,7 @@ def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
                 continue
             for (i, j), sign in _telescope(a, bp):
                 if i == p1 and j == p3:
-                    acc = acc + _rho_pair(a, b, ap, bp, order).scale(-sign)
+                    acc = acc + _rho_pair_coeff(a, b, ap, bp, d).scale(-sign)
     # three-kernel bracket: both cyclic orders, plain convolution
     for a1 in range(p1 + 1):
         b3 = p1 - a1
@@ -266,35 +271,31 @@ def _w3_series(p1: int, p2: int, p3: int, order: int) -> BetaSeries:
             a2 = p2 - b1
             for b2 in range(p3 + 1):
                 a3 = p3 - b2
-                pair = _rho_pair(a1, b1, a2, b2, order)
-                acc = acc + series_mul(pair, rho_series(a3, b3, order), order)
+                acc = acc + _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d)
     for a1 in range(p1 + 1):
         b3 = p1 - a1
         for b2 in range(p2 + 1):
             a3 = p2 - b2
             for b1 in range(p3 + 1):
                 a2 = p3 - b1
-                pair = _rho_pair(a1, b1, a2, b2, order)
-                acc = acc + series_mul(pair, rho_series(a3, b3, order), order)
+                acc = acc + _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d)
     return acc
 
 
-@lru_cache(maxsize=None)
-def wtilde_series(n: int, exponents: tuple[int, ...], order: int) -> BetaSeries:
-    """One coefficient of the connected n-point expansion, as a BetaSeries."""
+def wtilde_coeff(n: int, exponents: tuple[int, ...], d: int) -> GPoly:
+    """[beta^d] of one coefficient of the connected n-point expansion."""
     if n not in (1, 2, 3):
         raise ValueError("the expansion is implemented for n = 1, 2, 3")
     if len(exponents) != n:
         raise ValueError("exponent arity mismatch")
     if any(e < 0 for e in exponents):
         raise RuntimeError("internal error: residual pole (negative exponent)")
-    kernel = {1: _w1_series, 2: _w2_series, 3: _w3_series}[n]
-    return kernel(*exponents, order)
+    kernel = {1: _w1, 2: _w2, 3: _w3}[n]
+    return kernel(*exponents, d)
 
 
 def connected_via_wtilde(mu: Partition, d: int) -> GPoly:
     """Connected value for length(mu) <= 3 straight from the expansion."""
     mu = as_partition(mu)
     exps = tuple(m - 1 for m in mu)
-    series = wtilde_series(len(mu), exps, d)
-    return series.coeff(d) / (math.prod(mu) * aut_of(mu))
+    return wtilde_coeff(len(mu), exps, d) / (math.prod(mu) * aut_of(mu))

@@ -94,6 +94,15 @@ def test_compute_correlator_cap_exit_code(capsys):
     assert "cap exceeded" in err
 
 
+def test_compute_wide_d_range_stops_at_the_cap(capsys):
+    # the range is walked lazily, so its width costs nothing before d = 13
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "compute", "--mu", "2", "--d-range", "0:1000000000000")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert "cap exceeded" in err
+
+
 def test_compute_parity_zero_is_prompt(capsys):
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, "compute", "--mu", "12", "--d", "30")
@@ -243,6 +252,16 @@ def test_verify_quick(tmp_path, capsys):
     assert not cache_dir.exists()
     report = json.loads(errata_path.read_text())
     assert any(e["table"] == "A3" and e["cell"] == "(0,2)" for e in report)
+
+
+def test_verify_unwritable_errata_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("hurwitz.verify.run_suite", lambda scope: [])
+    plain_file = tmp_path / "plain_file"
+    plain_file.write_text("")
+    code, _, err = run_cli(capsys, "verify", "--errata-out", str(plain_file / "x.json"))
+    assert code == 1
+    assert err.startswith("hurwitz: error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_cache_dir_env_default(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from hurwitz.algebra import GPoly
 from hurwitz.correlator import (
+    _rho_pair_coeff,
     connected_closed_form,
     connected_len1,
     connected_len2,
@@ -13,9 +14,9 @@ from hurwitz.correlator import (
     connected_via_wtilde,
     nonconnected_assemble,
     rho_coeff,
-    rho_series,
-    wtilde_series,
+    wtilde_coeff,
 )
+from hurwitz.series import g_coeff
 from hurwitz.tau import connected_any, hurwitz_any
 
 g = GPoly.var
@@ -41,9 +42,8 @@ def test_rho_0_2_symmetry_forced_value():
 def test_rho_symmetry_and_homogeneity_grid():
     for a in range(6):
         for b in range(6):
-            series = rho_series(a, b, 6)
             for d in range(7):
-                coeff = series.coeff(d)
+                coeff = rho_coeff(a, b, d)
                 assert coeff.is_homogeneous(d)
                 assert coeff == rho_coeff(b, a, d).scale((-1) ** (a + b + d))
 
@@ -89,16 +89,14 @@ def test_nonconnected_matches_character_pipeline():
 
 def test_wtilde_n1_matches_len1():
     for mu1 in (1, 2, 3, 4):
-        series = wtilde_series(1, (mu1 - 1,), 4)
         for d in range(5):
-            assert series.coeff(d) == connected_len1(mu1, d).scale(mu1)
+            assert wtilde_coeff(1, (mu1 - 1,), d) == connected_len1(mu1, d).scale(mu1)
 
 
 def test_wtilde_n2_example():
-    series = wtilde_series(2, (1, 0), 3)
-    assert series.coeff(3) == (g(1) * g(2) + g(3)).scale(2)
+    assert wtilde_coeff(2, (1, 0), 3) == (g(1) * g(2) + g(3)).scale(2)
     # no constant term: the kernel cancellation is exact
-    assert wtilde_series(2, (0, 0), 0).coeff(0).is_zero()
+    assert wtilde_coeff(2, (0, 0), 0).is_zero()
 
 
 def test_wtilde_agrees_with_moebius_inversion():
@@ -109,6 +107,20 @@ def test_wtilde_agrees_with_moebius_inversion():
 
 def test_wtilde_rejects_bad_arity():
     with pytest.raises(ValueError):
-        wtilde_series(4, (1, 1, 1, 1), 3)
+        wtilde_coeff(4, (1, 1, 1, 1), 3)
     with pytest.raises(ValueError):
-        wtilde_series(2, (1,), 3)
+        wtilde_coeff(2, (1,), 3)
+
+
+def test_sweep_orders_agree_with_tau_in_any_question_order():
+    # the orders the sweep benchmark reaches, asked high-to-low on cold
+    # coefficient caches and then low-to-high: cached lower coefficients
+    # must be the same whichever order filled them
+    for cache in (g_coeff, rho_coeff, _rho_pair_coeff):
+        cache.cache_clear()
+    orders = list(range(12, 7, -1)) + list(range(8, 13))
+    for mu in [(9,), (4, 4), (5, 1, 1)]:
+        for d in orders:
+            assert connected_closed_form(mu, d) == connected_any(mu, d), (mu, d)
+            assert nonconnected_assemble(mu, d, connected_closed_form) == \
+                hurwitz_any(mu, d), (mu, d)

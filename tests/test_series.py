@@ -1,72 +1,64 @@
-"""BetaSeries truncation and multiplication against naive convolution."""
+"""Taylor coefficients of weight-factor products against hand and naive sums."""
 
+import math
 import random
-from fractions import Fraction
-
-import pytest
 
 from hurwitz.algebra import GPoly
-from hurwitz.series import BetaSeries, TruncationError, g_series, g_product, series_mul
+from hurwitz.series import g_coeff
 
 g = GPoly.var
 
 
 def test_product_example_g1_g2beta():
     # beta^3 of G(beta) * G(2 beta): hand convolution of the four cross terms
-    prod = series_mul(g_series(1, 3), g_series(2, 3))
-    assert prod.coeff(3) == g(1) * g(2) * 6 + g(3) * 9
+    assert g_coeff((1, 2), 3) == g(1) * g(2) * 6 + g(3) * 9
 
 
 def test_unit_identity():
-    s = g_series(3, 5)
-    assert series_mul(s, BetaSeries.unit(5)) == s
+    # G(0 * beta) = 1: a zero multiplier changes nothing
+    for k in range(6):
+        assert g_coeff((0, 3), k) == g_coeff((3,), k)
+        assert g_coeff((-2, 0, 1), k) == g_coeff((-2, 1), k)
 
 
 def test_opposite_arguments_cancel_linear_term():
-    prod = series_mul(g_series(1, 1), g_series(-1, 1))
-    assert prod.coeff(1).is_zero()
+    assert g_coeff((-1, 1), 1).is_zero()
 
 
-def test_insufficient_truncation():
-    with pytest.raises(TruncationError, match="insufficient truncation"):
-        series_mul(g_series(1, 2), g_series(2, 5), 4)
-    with pytest.raises(TruncationError):
-        g_series(1, 3).coeff(4)
+def _compositions(k: int, parts: int):
+    """Tuples of `parts` nonnegative integers summing to k."""
+    if parts == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _compositions(k - first, parts - 1):
+            yield (first,) + rest
 
 
-def test_coefficients_stable_under_truncation_order():
-    low = g_product((1, 2, 3), 3)
-    high = g_product((1, 2, 3), 8)
-    for d in range(4):
-        assert low.coeff(d) == high.coeff(d)
+def _naive_coeff(multipliers: tuple[int, ...], k: int) -> GPoly:
+    # sum over j_1 + ... + j_n = k of prod_i m_i^{j_i} g_{j_i}, with g_0 = 1
+    acc = GPoly.zero()
+    for js in _compositions(k, len(multipliers)):
+        term = GPoly.one().scale(math.prod(m ** j for m, j in zip(multipliers, js)))
+        for j in js:
+            if j:
+                term = term * g(j)
+        acc = acc + term
+    return acc
 
 
-def _naive_convolution(a: BetaSeries, b: BetaSeries, order: int) -> BetaSeries:
-    out = [GPoly.zero() for _ in range(order + 1)]
-    for d in range(order + 1):
-        for i in range(d + 1):
-            out[d] = out[d] + a.coeff(i) * b.coeff(d - i)
-    return BetaSeries(out)
-
-
-def test_mul_matches_naive_double_loop():
+def test_coeff_matches_naive_composition_sum():
     rng = random.Random(42)
-    order = 8
-    for _ in range(6):
-        a_coeffs = [GPoly.one()] + [
-            g(k, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for k in range(1, order + 1)
-        ]
-        b_coeffs = [GPoly.one()] + [
-            g(k, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for k in range(1, order + 1)
-        ]
-        a, b = BetaSeries(a_coeffs), BetaSeries(b_coeffs)
-        assert series_mul(a, b) == _naive_convolution(a, b, order)
+    for _ in range(12):
+        multipliers = tuple(sorted(rng.randint(-4, 4) for _ in range(rng.randint(1, 4))))
+        for k in range(7):
+            assert g_coeff(multipliers, k) == _naive_coeff(multipliers, k), (multipliers, k)
 
 
 def test_graded_products_of_weight_factors():
     rng = random.Random(7)
     for _ in range(10):
         multipliers = tuple(sorted(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
-        prod = g_product(multipliers, 6)
-        assert prod.is_graded()
-        assert prod.coeff(0) == GPoly.one()
+        assert g_coeff(multipliers, 0) == GPoly.one()
+        for k in range(7):
+            assert g_coeff(multipliers, k).is_homogeneous(k)
