@@ -17,9 +17,8 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
 
@@ -259,45 +258,3 @@ def _wrap(terms: dict[Exponent, Fraction]) -> GPoly:
 
 _ZERO = GPoly()
 _ONE = GPoly({(): Fraction(1)})
-
-
-# -- generic ring interface for evaluation -----------------------------
-
-
-@dataclass(frozen=True)
-class Ring:
-    """An exact commutative ring with 1, for evaluating GPoly values.
-
-    Elements must support +, * and unary -; `from_rational` embeds Q.
-    """
-
-    name: str
-    zero: Any
-    one: Any
-    from_rational: Callable[[Fraction], Any]
-
-
-RATIONAL_RING = Ring("rational", Fraction(0), Fraction(1), lambda c: c)
-GPOLY_RING = Ring("gpoly", _ZERO, _ONE, GPoly.const)
-
-
-def eval_gpoly(p: GPoly, assignment: Mapping[int, Any], ring: Ring = RATIONAL_RING) -> Any:
-    """Evaluate p with g_i := assignment[i], exactly, in the given ring.
-
-    Raises KeyError naming the missing index if the assignment does not
-    cover every variable occurring in p.
-    """
-    total = ring.zero
-    for exp, coef in p._terms.items():
-        term = ring.from_rational(coef)
-        for i, k in enumerate(exp):
-            if not k:
-                continue
-            idx = i + 1
-            if idx not in assignment:
-                raise KeyError(f"no value assigned for g_{idx}")
-            v = assignment[idx]
-            for _ in range(k):
-                term = term * v
-        total = total + term
-    return total

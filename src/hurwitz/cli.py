@@ -144,8 +144,8 @@ def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
         generic = connected_any(mu, d, config.weight_cap, config.degree_cap)
     else:
         generic = hurwitz_any(mu, d, config.weight_cap, config.degree_cap)
-    value = generic if model.kind == "generic" else specialize(generic, model)
-    return HurwitzResult(mu, d, config.connected, pipeline, value, model.describe())
+    return HurwitzResult(mu, d, config.connected, pipeline, specialize(generic, model),
+                         model.describe())
 
 
 def _display(value) -> str:
@@ -216,14 +216,15 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(args.scope)
-    for res in results:
-        print(res.line())
     out_path = args.errata_out or os.path.join(
         args.cache_dir or default_cache_dir(), "errata.json")
+    # open the report before the suite runs, so an unwritable path fails at once
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    report = errata_report("full" if args.scope == "full" else "quick")
     with open(out_path, "w") as fh:
+        results = run_suite(args.scope)
+        for res in results:
+            print(res.line())
+        report = errata_report("full" if args.scope == "full" else "quick")
         json.dump(report, fh, indent=2)
     print(f"errata report ({len(report)} entries) written to {out_path}")
     if all(res.passed for res in results):

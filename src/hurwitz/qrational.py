@@ -1,24 +1,22 @@
-"""Dense univariate polynomials in q over Q, and their fraction field.
+"""Quantum values P(q) / (q;q)_m: dense polynomials in q and the reduced quotient.
 
 QPoly stores coefficients ascending in the power of q with trailing zeros
 stripped; the zero polynomial has degree -1 (the distinguished sentinel).
-QRat is a reduced fraction of QPolys: the gcd (monic Euclidean gcd over Q)
-is divided out and the denominator is normalized monic, with its leading
-coefficient folded into the numerator.  Equality of normalized values is
-plain componentwise equality.
 
-Quantum values have the shape P(q) / (q;q)_m, and for those no gcd is
-needed.  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k), with Phi_k the
-monic cyclotomic polynomials, `QRat.over_pochhammer` reduces P / (q;q)_m by
-exact trial division of P by each Phi_k, as often as Phi_k's multiplicity
-in the denominator allows; what is left over is coprime by construction.
+QRat is a quantum value in the published shape P(q) / (q;q)_m, stored as
+the reduced pair (num, den).  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k),
+with Phi_k the monic cyclotomic polynomials, `QRat.over_pochhammer`, the
+one constructor that computes a value, reduces P / (q;q)_m by exact trial
+division of P by each Phi_k, as often as Phi_k's multiplicity in the
+denominator allows; what is left over is coprime by construction and the
+denominator is monic.  Equality of values is plain componentwise equality.
 `QRat.pochhammer_form` goes the other way, reading the least m off the
 Phi_k multiplicities of a denominator.  `q_multinomial` gives the integer
 polynomials (q;q)_m / prod (q;q)_i^e_i from which the numerators are built.
 All three compute on integer coefficient lists.
 
-This is the exact value ring in which the quantum-weight tables are
-verified as identities; nothing here is ever evaluated in floating point.
+The quantum-weight tables are verified as identities of these exact
+values; nothing here is ever evaluated in floating point.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ class QPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @staticmethod
-    def const(c: RationalLike) -> QPoly:
-        return QPoly([Fraction(c)])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
@@ -54,38 +48,16 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == QPoly.const(other)._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __add__(self, other: QPoly) -> QPoly:
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> QPoly:
-        return QPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other: QPoly) -> QPoly:
-        return self + (-other)
 
     def __mul__(self, other: QPoly | RationalLike) -> QPoly:
         if not isinstance(other, QPoly):
@@ -100,38 +72,9 @@ class QPoly:
                 out[i + j] += a * b
         return QPoly(out)
 
-    def __rmul__(self, other: RationalLike) -> QPoly:
-        return self.scale(other)
-
     def scale(self, s: RationalLike) -> QPoly:
         s = Fraction(s)
         return QPoly([c * s for c in self._coeffs])
-
-    def monic(self) -> QPoly:
-        if not self:
-            return self
-        return self.scale(1 / self.leading())
-
-    def divmod(self, other: QPoly) -> tuple[QPoly, QPoly]:
-        """Exact Euclidean division over Q: self = q*other + r, deg r < deg other."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dn, lo = other.degree(), other.leading()
-        qd = len(rem) - 1 - dn
-        if qd < 0:
-            return QPoly(), self
-        quo = [Fraction(0)] * (qd + 1)
-        for k in range(qd, -1, -1):
-            c = rem[k + dn] / lo
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other._coeffs):
-                    rem[k + i] -= c * oc
-        return QPoly(quo), QPoly(rem)
-
-    def __mod__(self, other: QPoly) -> QPoly:
-        return self.divmod(other)[1]
 
     def evaluate(self, q: RationalLike) -> Fraction:
         q = Fraction(q)
@@ -161,18 +104,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
-
-
-def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic Euclidean gcd; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-def qq_pochhammer(m: int) -> QPoly:
-    """(1-q)(1-q^2)...(1-q^m); the empty product for m = 0."""
-    return QPoly(q_multinomial(m, ()))
 
 
 def q_multinomial(m: int, exps: Sequence[int]) -> list[int]:
@@ -271,41 +202,19 @@ def _cyclotomic(k: int) -> list[int]:
     return p
 
 
-def _qrat(num: QPoly, den: QPoly) -> QRat:
-    # internal fast path: num and den already coprime, den monic
-    v = QRat.__new__(QRat)
-    v._num, v._den = num, den
-    return v
-
-
 class QRat:
-    """Reduced fraction of QPolys with monic denominator."""
+    """A quantum value P(q) / (q;q)_m in reduced form.
+
+    The stored pair (num, den) has den a monic product of cyclotomic
+    polynomials coprime to num, and den = 1 for zero.  `over_pochhammer`
+    computes that pair; the constructor only stores a pair that is already
+    in this form.
+    """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: QPoly, den: QPoly | None = None):
-        if den is None:
-            den = QPoly.const(1)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self._num, self._den = QPoly(), QPoly.const(1)
-            return
-        g = qpoly_gcd(num, den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.leading()
-        self._num = num.scale(1 / lead)
-        self._den = den.scale(1 / lead)
-
-    @staticmethod
-    def const(c: RationalLike) -> QRat:
-        return QRat(QPoly.const(c))
-
-    @staticmethod
-    def from_poly(p: QPoly) -> QRat:
-        return QRat(p)
+    def __init__(self, num: QPoly, den: QPoly):
+        self._num, self._den = num, den
 
     @staticmethod
     def over_pochhammer(num: QPoly, m: int) -> QRat:
@@ -319,7 +228,7 @@ class QRat:
         if m < 0:
             raise ValueError("index must be >= 0")
         if not num:
-            return QRat(num)
+            return QRat(QPoly(), QPoly([1]))
         scale = math.lcm(*(c.denominator for c in num.coeffs))
         p = [c.numerator * (scale // c.denominator) for c in num.coeffs]
         den = [1]
@@ -330,7 +239,7 @@ class QRat:
                 p, left = quo, left - 1
             for _ in range(left):
                 den = _int_mul(den, phi)
-        return _qrat(QPoly(p).scale(Fraction((-1) ** m, scale)), QPoly(den))
+        return QRat(QPoly(p).scale(Fraction((-1) ** m, scale)), QPoly(den))
 
     def pochhammer_form(self, max_index: int) -> tuple[int, QPoly] | None:
         """(m, P) with self = P / (q;q)_m for the least such m, if m <= max_index.
@@ -350,7 +259,7 @@ class QRat:
             while (quo := _divide_monic(rest, phi)) is not None:
                 rest, n = quo, n + 1
             m = max(m, k * n)
-        if len(rest) != 1 or m > max_index:
+        if rest != [1] or m > max_index:
             return None
         cofactor = _divide_monic(q_multinomial(m, ()), den)
         return m, self._num * QPoly(cofactor)
@@ -366,46 +275,16 @@ class QRat:
     def is_zero(self) -> bool:
         return self._num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self._den.degree() == 0
-
     def __bool__(self) -> bool:
         return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QRat):
             return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self == QRat(other if isinstance(other, QPoly) else QPoly.const(other))
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
-
-    def __add__(self, other: QRat) -> QRat:
-        return QRat(self._num * other._den + other._num * self._den, self._den * other._den)
-
-    def __neg__(self) -> QRat:
-        return QRat(-self._num, self._den)
-
-    def __sub__(self, other: QRat) -> QRat:
-        return self + (-other)
-
-    def __mul__(self, other: QRat | RationalLike) -> QRat:
-        if not isinstance(other, QRat):
-            return QRat(self._num.scale(other), self._den)
-        return QRat(self._num * other._num, self._den * other._den)
-
-    def __rmul__(self, other: RationalLike) -> QRat:
-        return QRat(self._num.scale(other), self._den)
-
-    def inverse(self) -> QRat:
-        if not self._num:
-            raise ZeroDivisionError("inverse of zero")
-        return QRat(self._den, self._num)
-
-    def __truediv__(self, other: QRat) -> QRat:
-        return self * other.inverse()
 
     def evaluate(self, q: RationalLike) -> Fraction:
         d = self._den.evaluate(q)
@@ -428,6 +307,17 @@ class QRat:
 
     @staticmethod
     def from_json(data: dict) -> QRat:
-        num = QPoly([Fraction(s) for s in data["num"]])
-        den = QPoly([Fraction(s) for s in data["den"]])
-        return QRat(num, den)
+        """The value of a to_json dict; ValueError unless the pair is reduced.
+
+        The pair is rebuilt through `pochhammer_form` and `over_pochhammer`
+        and must come back unchanged, which rejects a zero, non-monic or
+        non-cyclotomic denominator and a pair with a common factor.
+        """
+        v = QRat(QPoly([Fraction(s) for s in data["num"]]),
+                 QPoly([Fraction(s) for s in data["den"]]))
+        # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least
+        # index m = max(k * n_k) are both at most 2 * deg(den)^2
+        form = v.pochhammer_form(2 * max(v.den.degree(), 1) ** 2)
+        if form is None or QRat.over_pochhammer(form[1], form[0]) != v:
+            raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
+        return v

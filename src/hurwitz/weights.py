@@ -6,20 +6,19 @@ Supported models and their coefficient sequences g_1, g_2, ...:
   exp          g_i = 1/i!
   rational     g_i = sum_j e_j(c) h_{i-j}(d) for finite parameter lists c, d
   dual         g_i = h_i(d)                  (rational with empty c)
-  quantum      g_i = 1/(q;q)_i, either as an exact rational function of a
+  quantum      g_i = 1/(q;q)_i, either as an exact quantum value of a
                symbolic q (QRat) or at an exact rational q
   taylor       explicit list of rational coefficients
 
-Specialization is plain polynomial evaluation in the model's ring; it is a
-ring homomorphism, which the tests exercise.  The one exception is symbolic
-q, where evaluating term by term would add rational functions and run a
-gcd per term.  There, with D the top weighted degree of the value, every
-monomial prod g_i^e_i equals the integer q-multinomial polynomial
-(q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the value is P / (q;q)_D with
-P summed in integers, reduced once by cyclotomic trial division
-(`QRat.over_pochhammer`).  The (q;q)_m display form reads m off the
-cyclotomic factors of the denominator; it is a formatter only and is never
-used for equality.
+Numeric models (every model but generic and symbolic q) specialize by
+evaluating the polynomial at their Taylor coefficients over Fraction.
+Symbolic q is built in the published form instead: with D the top weighted
+degree of the value, every monomial prod g_i^e_i equals the integer
+q-multinomial polynomial (q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the
+value is P / (q;q)_D with P summed in integers, reduced once by cyclotomic
+trial division (`QRat.over_pochhammer`).  The (q;q)_m display form reads m
+off the cyclotomic factors of the denominator; it is a formatter only and
+is never used for equality.
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .algebra import GPOLY_RING, GPoly, RATIONAL_RING, Ring, eval_gpoly
+from .algebra import GPoly
 from .partitions import sym_eval
-from .qrational import QPoly, QRat, q_multinomial, qq_pochhammer
-
-QRAT_RING = Ring("qrat", QRat.const(0), QRat.const(1), QRat.const)
+from .qrational import QPoly, QRat, q_multinomial
 
 MODEL_KINDS = ("generic", "exp", "rational", "dual", "quantum", "taylor")
 
@@ -90,14 +87,6 @@ class WeightModel:
             self.kind == "quantum" and self.q is not None
         )
 
-    @property
-    def ring(self) -> Ring:
-        if self.kind == "generic":
-            return GPOLY_RING
-        if self.symbolic_q:
-            return QRAT_RING
-        return RATIONAL_RING
-
     def describe(self) -> str:
         if self.kind == "rational":
             cs = ",".join(str(x) for x in self.c)
@@ -149,6 +138,8 @@ def parse_model(text: str) -> WeightModel:
             return WeightModel.dual([Fraction(x) for x in vals.split(",") if x])
     except ValueError as exc:
         raise ValueError(f"bad weight model {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad weight model {text!r}: zero denominator") from None
     raise ValueError(f"bad weight model {text!r}")
 
 
@@ -159,12 +150,12 @@ def _parse_q(rest: str) -> Fraction:
     return Fraction(val)
 
 
-def taylor_coeffs(model: WeightModel, upto: int) -> list[Any]:
-    """g_1 .. g_upto in the model's ring."""
+def taylor_coeffs(model: WeightModel, upto: int) -> list[Fraction]:
+    """g_1 .. g_upto of a numeric model."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    if model.kind == "generic":
-        return [GPoly.var(i) for i in range(1, upto + 1)]
+    if not model.is_numeric:
+        raise ValueError(f"{model.describe()} has no rational Taylor coefficients")
     if model.kind == "exp":
         return [Fraction(1, math.factorial(i)) for i in range(1, upto + 1)]
     if model.kind in ("rational", "dual"):
@@ -177,8 +168,6 @@ def taylor_coeffs(model: WeightModel, upto: int) -> list[Any]:
             for i in range(1, upto + 1)
         ]
     if model.kind == "quantum":
-        if model.symbolic_q:
-            return [QRat(QPoly.const(1), qq_pochhammer(i)) for i in range(1, upto + 1)]
         q = model.q
         out = []
         poch = Fraction(1)
@@ -197,13 +186,22 @@ def taylor_coeffs(model: WeightModel, upto: int) -> list[Any]:
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def specialize(p: GPoly, model: WeightModel) -> Any:
-    """Evaluate a generic value in the model's coefficient ring."""
+def specialize(p: GPoly, model: WeightModel) -> GPoly | QRat | Fraction:
+    """The value of a generic p under the model: p itself for generic, a
+    QRat for symbolic q, and p at the Taylor coefficients, a Fraction, for
+    every numeric model."""
+    if model.kind == "generic":
+        return p
     if model.symbolic_q:
         return _specialize_symbolic_q(p)
-    needed = max(p.variables(), default=0)
-    assignment = {i + 1: v for i, v in enumerate(taylor_coeffs(model, needed))}
-    return eval_gpoly(p, assignment, model.ring)
+    gs = taylor_coeffs(model, max(p.variables(), default=0))
+    total = Fraction(0)
+    for exp, coef in p.terms.items():
+        for g, k in zip(gs, exp):
+            for _ in range(k):
+                coef *= g
+        total += coef
+    return total
 
 
 def _specialize_symbolic_q(p: GPoly) -> QRat:
@@ -250,48 +248,3 @@ def qrat_pretty(v: QRat, max_index: int = 24) -> str:
         return num_s if scalar == 1 else f"{num_s} / {scalar}"
     poch = f"(q;q)_{m}" if scalar == 1 else f"{scalar}(q;q)_{m}"
     return f"{num_s} / ({poch})"
-
-
-def qrat_pretty_parse(text: str) -> QRat:
-    """Parse qrat_pretty output back to a value (round-trip check support)."""
-    text = text.strip()
-    if " / " in text:
-        num_s, den_s = text.split(" / ", 1)
-    else:
-        num_s, den_s = text, ""
-    num = _parse_qpoly(num_s.strip())
-    if not den_s:
-        return QRat(num)
-    den_s = den_s.strip()
-    if den_s.startswith("(") and den_s.endswith(")"):
-        den_s = den_s[1:-1]
-    if "(q;q)_" in den_s:
-        scalar_s, _, idx_s = den_s.partition("(q;q)_")
-        scalar = Fraction(scalar_s) if scalar_s else Fraction(1)
-        return QRat.over_pochhammer(num.scale(1 / scalar), int(idx_s))
-    return QRat(num, QPoly.const(Fraction(den_s)))
-
-
-def _parse_qpoly(text: str) -> QPoly:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    coeffs: dict[int, Fraction] = {}
-    for signed_term in text.replace("- ", "+ -").split("+"):
-        term = signed_term.strip()
-        if not term:
-            continue
-        coef, _, power = term.partition("q")
-        coef = coef.strip().rstrip("*").strip()
-        if coef in ("", "-"):
-            c = Fraction(coef + "1")
-        else:
-            c = Fraction(coef)
-        if "q" not in term:
-            k = 0
-        elif power.startswith("^"):
-            k = int(power[1:])
-        else:
-            k = 1
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    return QPoly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs, default=0) + 1)])

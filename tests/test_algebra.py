@@ -1,20 +1,11 @@
-"""GPoly arithmetic, grading, evaluation, serialization."""
+"""GPoly arithmetic, grading, serialization."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurwitz.algebra import (
-    GPOLY_RING,
-    GPoly,
-    RATIONAL_RING,
-    eval_gpoly,
-    monomial_weight,
-)
-from hurwitz.qrational import QPoly, QRat
-from hurwitz.weights import QRAT_RING
+from hurwitz.algebra import GPoly, monomial_weight
 
 g1 = GPoly.var(1)
 g2 = GPoly.var(2)
@@ -79,34 +70,6 @@ def test_str_canonical():
     assert str(g1 * g2 + g3.scale(Fraction(3, 2))) == "3/2*g3 + g1*g2"
     assert str(GPoly.zero()) == "0"
     assert str(-g1) == "-g1"
-
-
-def test_eval_rational():
-    p = g1 * g2 + g3
-    val = eval_gpoly(p, {1: Fraction(1), 2: half, 3: Fraction(1, 6)}, RATIONAL_RING)
-    assert val == Fraction(2, 3)
-
-
-def test_eval_qrat():
-    v = QRat(QPoly([1]), QPoly([1, -1]))  # 1/(1-q)
-    got = eval_gpoly(g1.scale(half), {1: v}, QRAT_RING)
-    assert got == QRat(QPoly([1]), QPoly([2, -2]))
-
-
-def test_eval_zero_assignment():
-    assert eval_gpoly(g1, {1: Fraction(0)}, RATIONAL_RING) == 0
-    assert eval_gpoly(GPoly.zero(), {}, RATIONAL_RING) == 0
-
-
-def test_eval_missing_variable():
-    with pytest.raises(KeyError, match="g_2"):
-        eval_gpoly(g1 + g2, {1: Fraction(1)}, RATIONAL_RING)
-
-
-def test_eval_into_gpoly_ring_is_substitution():
-    p = g1 * g1 + g2
-    out = eval_gpoly(p, {1: g2, 2: g3}, GPOLY_RING)
-    assert out == g2 * g2 + g3
 
 
 def test_json_round_trip():

@@ -1,8 +1,13 @@
-"""The top-level package exports exactly its documented public API."""
+"""The top-level package exports exactly its documented public API, and the
+three pipelines import none of each other's modules."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import hurwitz
+
+PIPELINES = ("tau", "correlator", "oracle")
 
 
 def test_all_names_resolve():
@@ -27,3 +32,43 @@ def test_readme_quick_tour():
     # the definitional check, nonconnected by default
     assert weighted_from_definition((2, 1), 3, third) == specialize(h, third)
     assert weighted_from_definition((2, 1), 3, third, connected=True) == Fraction(891, 208)
+
+
+def _imports(module):
+    """(imported hurwitz module, enclosing function) for every import in
+    the module, at any nesting level."""
+    tree = ast.parse((Path(hurwitz.__file__).parent / f"{module}.py").read_text())
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                if base in (".", "hurwitz"):    # from . import x
+                    names = [alias.name for alias in child.names]
+                elif base.startswith((".", "hurwitz.")):    # from .x import y
+                    names = [base.lstrip(".").removeprefix("hurwitz.")]
+                else:
+                    names = []
+                found.extend((name.split(".")[0], func) for name in names)
+            elif isinstance(child, ast.Import):
+                found.extend((alias.name.split(".")[1], func) for alias in child.names
+                             if alias.name.startswith("hurwitz."))
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_pipelines_are_independent():
+    imports = {m: _imports(m) for m in PIPELINES}
+    for module, found in imports.items():
+        names = {name for name, _ in found}
+        assert not names & (set(PIPELINES) - {module}), (module, names)
+        assert ("series" in names) == (module == "correlator"), (module, names)
+    # the errata report compares published tables, which read every pipeline
+    assert [f for name, f in imports["oracle"] if name == "tables"] == ["errata_report"]
+    assert all(name != "tables" for m in ("tau", "correlator") for name, _ in imports[m])

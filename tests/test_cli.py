@@ -48,6 +48,14 @@ def test_compute_json_round_trip(capsys):
     results = [HurwitzResult.from_json(item) for item in json.loads(out)]
     assert [r.d for r in results] == [0, 1, 2, 3, 4]
     assert all(r.to_json() == item for r, item in zip(results, json.loads(out)))
+    # symbolic-q values are read back through QRat.from_json's validation
+    code, out, _ = run_cli(capsys, "compute", "--mu", "2,1", "--d-range", "0:7",
+                           "--weights", "quantum", "--format", "json")
+    assert code == 0
+    items = json.loads(out)
+    results = [HurwitzResult.from_json(item) for item in items]
+    assert [r.to_json() for r in results] == items
+    assert results[5].value == specialize(hurwitz_any((2, 1), 5), parse_model("quantum"))
 
 
 def test_compute_csv_columns(capsys):
@@ -185,6 +193,14 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("model", ["quantum:q=1/0", "rational:c=1/0", "dual:d=1/0",
+                                   "taylor:1,1/0"])
+def test_zero_denominator_weight_model(capsys, model):
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"hurwitz: error: bad weight model {model!r}: zero denominator"]
+
+
 def test_bad_partition_string(capsys):
     code, _, err = run_cli(capsys, "compute", "--mu", "1,2", "--d", "1")
     assert code == 1
@@ -255,13 +271,15 @@ def test_verify_quick(tmp_path, capsys):
 
 
 def test_verify_unwritable_errata_out(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("hurwitz.verify.run_suite", lambda scope: [])
+    scopes = []
+    monkeypatch.setattr("hurwitz.verify.run_suite", lambda scope: scopes.append(scope) or [])
     plain_file = tmp_path / "plain_file"
     plain_file.write_text("")
     code, _, err = run_cli(capsys, "verify", "--errata-out", str(plain_file / "x.json"))
     assert code == 1
     assert err.startswith("hurwitz: error: ")
     assert len(err.splitlines()) == 1
+    assert scopes == []   # the path fails before the suite runs
 
 
 def test_cache_dir_env_default(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,62 @@
-"""QPoly / QRat exact field arithmetic."""
+"""QPoly arithmetic and quantum values P(q)/(q;q)_m in reduced form."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from hurwitz.qrational import QPoly, QRat, q_multinomial, qpoly_gcd, qq_pochhammer
+from hurwitz.qrational import QPoly, QRat, q_multinomial
 
 one_minus_q = QPoly([1, -1])
 one_minus_q2 = QPoly([1, 0, -1])
+
+
+def pochhammer(m):
+    """(q;q)_m as the QPoly product of its factors 1 - q^k."""
+    out = QPoly([1])
+    for k in range(1, m + 1):
+        out = out * QPoly([1] + [0] * (k - 1) + [-1])
+    return out
+
+
+def exact_quotient(p, f):
+    """p / f by long division over Q, or None when f does not divide p."""
+    rem = list(p.coeffs)
+    top = f.degree()
+    if len(rem) <= top:
+        return None if rem else QPoly()
+    quo = [Fraction(0)] * (len(rem) - top)
+    for j in range(len(quo) - 1, -1, -1):
+        quo[j] = c = rem[j + top] / f.coeffs[-1]
+        for i, x in enumerate(f.coeffs):
+            rem[j + i] -= c * x
+    return None if any(rem) else QPoly(quo)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(k):
+    """Phi_k = (q^k - 1) / prod of Phi_j over the proper divisors j of k."""
+    out = QPoly([-1] + [0] * (k - 1) + [1])
+    for j in range(1, k):
+        if k % j == 0:
+            out = exact_quotient(out, cyclotomic(j))
+    return out
+
+
+def assert_reduced_quotient(got, a, b):
+    """got is the reduced form of a / b.
+
+    Cross-multiplied equality, a monic denominator made of Phi_k with
+    k <= 24, and no Phi_k dividing both parts fix that form uniquely.
+    """
+    assert got.num * b == a * got.den
+    assert got.den.coeffs[-1] == 1 and got.pochhammer_form(24) is not None
+    for k in range(1, 25):
+        phi = cyclotomic(k)
+        shared = (exact_quotient(got.den, phi) is not None
+                  and exact_quotient(got.num, phi) is not None)
+        assert not shared, (k, got)
 
 
 def test_degree_sentinel():
@@ -18,96 +66,70 @@ def test_degree_sentinel():
     assert one_minus_q2.degree() == 2
 
 
-def test_divmod_exact():
-    q, r = one_minus_q2.divmod(one_minus_q)
-    assert r.is_zero()
-    assert q == QPoly([1, 1])
-
-
-def test_gcd_monic():
-    # both arguments are multiples of 1 - q^2; the gcd comes back monic
-    g = qpoly_gcd(one_minus_q2 * QPoly([2]), one_minus_q * QPoly([3, 3]))
-    assert g == QPoly([-1, 0, 1])
-    assert g.leading() == 1
-
-
 def test_reduction_on_construction():
-    v = QRat(one_minus_q2, one_minus_q)
-    assert v == QRat(QPoly([1, 1]))  # (1-q^2)/(1-q) = 1+q
-    assert v.is_polynomial()
+    v = QRat.over_pochhammer(one_minus_q2, 1)  # (1-q^2)/(1-q) = 1+q
+    assert v.num == QPoly([1, 1])
+    assert v.den == QPoly([1])
 
 
 def test_denominator_monic_leading_folded():
-    v = QRat(QPoly([1]), QPoly([2, -2]))  # 1/(2-2q) = (-1/2)/(q-1)
+    v = QRat.over_pochhammer(QPoly([Fraction(1, 2)]), 1)  # 1/(2-2q) = (-1/2)/(q-1)
     assert v.den == QPoly([-1, 1])
-    assert v.den.leading() == 1
+    assert v.den.coeffs[-1] == 1
     assert v.num == QPoly([Fraction(-1, 2)])
 
 
-def test_field_inverse():
-    v = QRat(QPoly([1]), one_minus_q)
-    assert v * v.inverse() == QRat.const(1)
-    assert v * QRat.from_poly(one_minus_q) == QRat.const(1)
-
-
-def test_addition():
-    v = QRat(QPoly([1]), one_minus_q)
-    assert v + v == QRat(QPoly([2]), one_minus_q)
-
-
-def test_reduction_idempotent():
-    v = QRat(QPoly([3, 1, 2]), QPoly([1, 0, 0, 5]))
-    again = QRat(v.num, v.den)
-    assert again.num == v.num and again.den == v.den
-
-
-def test_zero_inverse_raises():
-    with pytest.raises(ZeroDivisionError):
-        QRat.const(0).inverse()
-    with pytest.raises(ZeroDivisionError):
-        QRat(QPoly([1]), QPoly())
-
-
-def test_cross_multiplication_equality():
-    a = QRat(QPoly([1, 1]), QPoly([1, 0, 0, -1]))
-    b = QRat(QPoly([2, 2]), QPoly([2, 0, 0, -2]))
-    assert a == b
-    assert a.num * b.den == b.num * a.den
-
-
 def test_evaluate():
-    v = QRat(QPoly([1]), one_minus_q)
+    v = QRat.over_pochhammer(QPoly([1]), 1)  # 1/(1-q)
     assert v.evaluate(Fraction(1, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         v.evaluate(1)
 
 
 def test_json_round_trip():
-    v = QRat(QPoly([1, Fraction(2, 3)]), QPoly([1, 0, -1]))
+    # (1 + 2/3 q) / (1 - q^2)
+    v = QRat.over_pochhammer(QPoly([1, Fraction(2, 3)]) * one_minus_q, 2)
+    assert v.den == QPoly([-1, 0, 1])
     assert QRat.from_json(v.to_json()) == v
+    zero = QRat.over_pochhammer(QPoly(), 3)
+    assert QRat.from_json(zero.to_json()) == zero
+
+
+@pytest.mark.parametrize("data", [
+    {"num": ["1"], "den": []},                 # zero denominator
+    {"num": ["1"], "den": ["0"]},
+    {"num": ["1"], "den": ["1", "2"]},         # 1/(1+2q): not cyclotomic
+    {"num": ["2"], "den": ["-2", "2"]},        # 2/(2q-2): not monic
+    {"num": ["1", "1"], "den": ["-1", "0", "1"]},  # (1+q)/(q^2-1): unreduced
+    {"num": [], "den": ["-1", "1"]},           # zero over q-1
+])
+def test_from_json_rejects_unreduced_pairs(data):
+    with pytest.raises(ValueError):
+        QRat.from_json(data)
 
 
 def test_q_multinomial():
     # [4 choose 2]_q = (q;q)_4 / (q;q)_2^2
     assert q_multinomial(4, (0, 2)) == [1, 1, 2, 1, 1]
-    # lighter exponents leave (q;q)_m / (q;q)_w as a factor
-    assert QPoly(q_multinomial(3, (1,))) == qq_pochhammer(3).divmod(qq_pochhammer(1))[0]
+    # lighter exponents leave (q;q)_m / (q;q)_w as a factor:
+    # (q;q)_3 / (q;q)_1 = (1-q^2)(1-q^3)
+    assert q_multinomial(3, (1,)) == [1, 0, -1, -1, 0, 1]
     assert q_multinomial(0, ()) == [1]
     with pytest.raises(ValueError):
         q_multinomial(2, (1, 1))
 
 
 def test_over_pochhammer_matches_gcd_reduction():
+    # the reduced form that a gcd would give, fixed by assert_reduced_quotient
     rng = random.Random(11)
     for _ in range(40):
         m = rng.randint(0, 9)
         num = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for _ in range(rng.randint(1, 5))])
         # multiples of (q;q)_j factors exercise the cyclotomic cancellation
-        num = num * qq_pochhammer(rng.randint(0, m + 2))
+        num = num * pochhammer(rng.randint(0, m + 2))
         got = QRat.over_pochhammer(num, m)
-        want = QRat(num, qq_pochhammer(m))
-        assert (got.num, got.den) == (want.num, want.den)
+        assert_reduced_quotient(got, num, pochhammer(m))
         if not got.is_zero():
             k, poly = got.pochhammer_form(24)
             assert k <= m and QRat.over_pochhammer(poly, k) == got

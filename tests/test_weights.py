@@ -5,24 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.algebra import GPoly, eval_gpoly
+from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.partitions import partitions_of
-from hurwitz.qrational import QPoly, QRat
+from hurwitz.qrational import QPoly, QRat, q_multinomial
 from hurwitz.tau import connected_any, hurwitz_any
-from hurwitz.weights import (
-    QRAT_RING,
-    WeightModel,
-    parse_model,
-    qq_pochhammer,
-    qrat_pretty,
-    qrat_pretty_parse,
-    specialize,
-    taylor_coeffs,
-)
+from hurwitz.weights import WeightModel, parse_model, qrat_pretty, specialize, taylor_coeffs
+from test_qrational import assert_reduced_quotient, pochhammer
 
 g = GPoly.var
 F = Fraction
+
+
+def qrat_pretty_parse(text):
+    """Read qrat_pretty output back as a value."""
+    num_s, _, den_s = text.strip().partition(" / ")
+    scalar_s, _, index = den_s.strip().removeprefix("(").removesuffix(")").partition("(q;q)_")
+    num = _parse_qpoly(num_s.strip().removeprefix("(").removesuffix(")"))
+    return QRat.over_pochhammer(num.scale(1 / F(scalar_s or 1)), int(index or 0))
+
+
+def _parse_qpoly(text):
+    coeffs = {}
+    for signed_term in text.replace("- ", "+ -").split("+"):
+        term = signed_term.strip()
+        if not term:
+            continue
+        coef, q, power = term.partition("q")
+        coef = coef.strip().rstrip("*").strip()
+        c = F(coef + "1") if coef in ("", "-") else F(coef)
+        k = (int(power[1:]) if power.startswith("^") else 1) if q else 0
+        coeffs[k] = coeffs.get(k, F(0)) + c
+    return QPoly([coeffs.get(i, F(0)) for i in range(max(coeffs, default=0) + 1)])
 
 
 def test_exponential_coeffs():
@@ -41,11 +55,13 @@ def test_dual_coeffs_all_one():
 
 
 def test_quantum_symbolic_coeffs():
-    gs = taylor_coeffs(WeightModel.quantum(), 2)
-    assert gs[1] == QRat(QPoly([1]), qq_pochhammer(2))
-    # (q;q)_i * g_i = 1 exactly
-    for i, gi in enumerate(gs, start=1):
-        assert gi * QRat.from_poly(qq_pochhammer(i)) == QRat.const(1)
+    # symbolic models have no rational Taylor coefficients
+    for model in (WeightModel.quantum(), WeightModel.generic()):
+        with pytest.raises(ValueError):
+            taylor_coeffs(model, 2)
+    g2 = specialize(g(2), WeightModel.quantum())
+    assert g2 == QRat.over_pochhammer(QPoly([1]), 2)
+    assert (g2.num, g2.den) == (QPoly([1]), QPoly([1, -1, -1, 1]))  # 1/((1-q)(1-q^2))
 
 
 def test_quantum_numeric_coeffs():
@@ -55,9 +71,11 @@ def test_quantum_numeric_coeffs():
 
 
 def test_quantum_pochhammer_inverse_identity():
-    gs = taylor_coeffs(WeightModel.quantum(), 8)
-    for i, gi in enumerate(gs, start=1):
-        assert gi * QRat.from_poly(qq_pochhammer(i)) == QRat.const(1)
+    # (q;q)_i * g_i = 1 exactly
+    for i in range(1, 9):
+        gi = specialize(g(i), WeightModel.quantum())
+        assert gi == QRat.over_pochhammer(QPoly([1]), i)
+        assert gi.num * pochhammer(i) == gi.den
 
 
 def test_taylor_model_and_length_check():
@@ -71,22 +89,31 @@ def test_specialize_examples():
     p = g(1) * g(2) + g(3).scale(F(3, 2))
     assert specialize(p, WeightModel.exponential()) == F(3, 4)
     got = specialize(g(1).scale(F(1, 2)), WeightModel.quantum())
-    assert got == QRat(QPoly([1]), qq_pochhammer(1).scale(2))
+    assert got == QRat.over_pochhammer(QPoly([F(1, 2)]), 1)  # 1/(2(q;q)_1)
+    assert (got.num, got.den) == (QPoly([F(-1, 2)]), QPoly([-1, 1]))
     # an all-zero explicit list keeps only the constant term
     p2 = GPoly.const(F(7)) + g(2)
     assert specialize(p2, WeightModel.taylor([0, 0])) == F(7)
+    assert specialize(GPoly.zero(), WeightModel.exponential()) == 0
+    assert specialize(p, WeightModel.generic()) == p
 
 
 def test_specialize_is_ring_homomorphism():
     rng = random.Random(3)
-    model = WeightModel.rational(
-        c=tuple(F(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(3))
-    )
-    for _ in range(5):
-        a = g(rng.randint(1, 3)) * rng.randint(-3, 3) + g(rng.randint(1, 4))
-        b = g(rng.randint(1, 4)).scale(F(rng.randint(1, 5), 2)) + GPoly.const(rng.randint(0, 2))
-        assert specialize(a * b, model) == specialize(a, model) * specialize(b, model)
-        assert specialize(a + b, model) == specialize(a, model) + specialize(b, model)
+    models = [
+        WeightModel.rational(c=tuple(F(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(3))),
+        WeightModel.exponential(),
+        WeightModel.dual(d=(F(2, 3), F(-1, 4))),
+        WeightModel.quantum(F(1, 3)),
+        WeightModel.taylor([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)]),
+    ]
+    for model in models:
+        for _ in range(5):
+            a = g(rng.randint(1, 3)) * rng.randint(-3, 3) + g(rng.randint(1, 4))
+            b = (g(rng.randint(1, 4)).scale(F(rng.randint(1, 5), 2))
+                 + GPoly.const(rng.randint(0, 2)))
+            assert specialize(a * b, model) == specialize(a, model) * specialize(b, model)
+            assert specialize(a + b, model) == specialize(a, model) + specialize(b, model)
 
 
 def _independent_rational_series(c, d, order):
@@ -135,33 +162,34 @@ def test_parse_model_round_trip_describe():
 
 
 def test_qq_pochhammer():
-    assert qq_pochhammer(0) == QPoly([1])
-    assert qq_pochhammer(1) == QPoly([1, -1])
+    assert q_multinomial(0, ()) == [1]
+    assert q_multinomial(1, ()) == [1, -1]
     expanded = QPoly([1, -1]) * QPoly([1, 0, -1]) * QPoly([1, 0, 0, -1])
-    assert qq_pochhammer(3) == expanded
+    assert q_multinomial(3, ()) == [1, -1, -1, 0, 1, 1, -1]
+    assert QPoly(q_multinomial(3, ())) == expanded
 
 
 def test_qrat_pretty_examples():
-    v = QRat(QPoly([1]), QPoly([2, -2]))
+    v = QRat.over_pochhammer(QPoly([F(1, 2)]), 1)
     assert qrat_pretty(v) == "1 / (2(q;q)_1)"
-    w = QRat(QPoly([2, 1]), qq_pochhammer(3).scale(3))
+    w = QRat.over_pochhammer(QPoly([F(2, 3), F(1, 3)]), 3)
     assert qrat_pretty(w) == "(2 + q) / (3(q;q)_3)"
-    assert qrat_pretty(QRat.from_poly(QPoly([1, 1]))) == "(1 + q)"
+    assert qrat_pretty(QRat.over_pochhammer(QPoly([1, 1]), 0)) == "(1 + q)"
 
 
 def test_qrat_pretty_round_trip():
     rng = random.Random(5)
     samples = [
-        QRat(QPoly([1]), QPoly([2, -2])),
-        QRat(QPoly([2, 1]), qq_pochhammer(3).scale(3)),
-        QRat(QPoly([21, 10, 14, 14, 14, 4, 4]), qq_pochhammer(5).scale(2)),
-        QRat.from_poly(QPoly([F(1, 2), 0, 3])),
-        QRat(QPoly([1, 1]), QPoly([1, 0, 0, 0, -1])),
+        QRat.over_pochhammer(QPoly([F(1, 2)]), 1),
+        QRat.over_pochhammer(QPoly([2, 1]).scale(F(1, 3)), 3),
+        QRat.over_pochhammer(QPoly([21, 10, 14, 14, 14, 4, 4]).scale(F(1, 2)), 5),
+        QRat.over_pochhammer(QPoly([F(1, 2), 0, 3]), 0),
+        QRat.over_pochhammer(QPoly([1, 1]) * pochhammer(3), 4),  # (1+q)/(1-q^4)
     ]
     for _ in range(5):
-        samples.append(QRat(
-            QPoly([rng.randint(-9, 9) for _ in range(4)]),
-            qq_pochhammer(rng.randint(0, 4)).scale(rng.randint(1, 6)),
+        samples.append(QRat.over_pochhammer(
+            QPoly([rng.randint(-9, 9) for _ in range(4)]).scale(F(1, rng.randint(1, 6))),
+            rng.randint(0, 4),
         ))
     for v in samples:
         if v.is_zero():
@@ -184,12 +212,26 @@ def _quantum_grid():
 
 
 def test_specialize_symbolic_q_matches_qrat_evaluation():
-    model = WeightModel.quantum()
+    # reference: the unreduced quotient A / B, B = prod (q;q)_i^E_i with E_i
+    # the largest exponent of g_i, so each monomial's numerator is a product
     for p in _quantum_grid():
-        gs = taylor_coeffs(model, max(p.variables(), default=0))
-        want = eval_gpoly(p, dict(enumerate(gs, start=1)), QRAT_RING)
-        got = specialize(p, model)
-        assert (got.num, got.den) == (want.num, want.den), p
+        n = max(p.variables(), default=0)
+        terms = {e + (0,) * (n - len(e)): c for e, c in p.terms.items()}
+        top = [max(column) for column in zip(*terms)]
+        b = QPoly([1])
+        for i, big in enumerate(top, start=1):
+            for _ in range(big):
+                b = b * pochhammer(i)
+        acc = []
+        for exp, coef in terms.items():
+            term = QPoly([coef])
+            for i, (big, e) in enumerate(zip(top, exp), start=1):
+                for _ in range(big - e):
+                    term = term * pochhammer(i)
+            acc += [F(0)] * (len(term.coeffs) - len(acc))
+            for j, c in enumerate(term.coeffs):
+                acc[j] += c
+        assert_reduced_quotient(specialize(p, WeightModel.quantum()), QPoly(acc), b)
 
 
 def test_specialize_symbolic_q_then_evaluate_matches_numeric_q():
@@ -200,16 +242,17 @@ def test_specialize_symbolic_q_then_evaluate_matches_numeric_q():
 
 
 def test_qrat_pretty_fallbacks():
-    one_minus_q_pow = QPoly([1])
-    for _ in range(24):
-        one_minus_q_pow = one_minus_q_pow * QPoly([1, -1])
-    at_limit = QRat(QPoly([1]), one_minus_q_pow)                 # m = 24
+    # [1]_q [2]_q ... [m]_q / (q;q)_m = 1/(1-q)^m
+    q_factorial = QPoly([1])
+    for k in range(1, 25):
+        q_factorial = q_factorial * QPoly([1] * k)
+    at_limit = QRat.over_pochhammer(q_factorial, 24)               # m = 24
     assert qrat_pretty(at_limit).endswith("(q;q)_24)")
     assert qrat_pretty_parse(qrat_pretty(at_limit)) == at_limit
-    not_cyclotomic = QRat(QPoly([1]), QPoly([1, 2]))             # 1/(1+2q)
-    beyond_index = QRat(QPoly([1]), QPoly([1] + [0] * 24 + [-1]))  # 1/(1-q^25)
-    too_many = QRat(QPoly([1]), one_minus_q_pow * QPoly([1, -1]))  # m = 25
-    for v in (not_cyclotomic, beyond_index, too_many):
+    beyond_index = QRat.over_pochhammer(pochhammer(24), 25)        # 1/(1-q^25)
+    too_many = QRat.over_pochhammer(q_factorial * QPoly([1] * 25), 25)  # m = 25
+    assert beyond_index.den == QPoly([-1] + [0] * 24 + [1])
+    for v in (beyond_index, too_many):
         assert qrat_pretty(v) == str(v)
 
 
