@@ -13,9 +13,10 @@ its submodule.
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble, rho_coeff
-from .oracle import errata_report, weighted_from_definition
+from .oracle import weighted_from_definition
 from .partitions import CapExceeded, parse_partition
 from .qrational import QRat
+from .tables import errata_report
 from .tau import HurwitzResult, connected_any, genus_slice, hurwitz_any
 from .weights import WeightModel, parse_model, qrat_pretty, specialize
 

@@ -16,12 +16,11 @@ from functools import lru_cache
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble
-from .oracle import errata_report, weighted_from_definition
+from .oracle import weighted_from_definition
 from .partitions import CapExceeded, parse_partition
-from .qrational import QRat
 from .tau import DEGREE_CAP, WEIGHT_CAP, HurwitzResult, check_caps, connected_any, hurwitz_any
-from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, table_ids
-from .weights import WeightModel, parse_model, qrat_pretty, specialize
+from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, errata_report, table_ids
+from .weights import WeightModel, display, parse_model, specialize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,21 +138,13 @@ def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
     elif pipeline == "correlator":   # after them: a vanishing value of any size prints 0
         check_caps(mu, d, config.weight_cap, config.degree_cap)
         generic = (connected_closed_form(mu, d) if config.connected
-                   else nonconnected_assemble(mu, d, connected_closed_form))
+                   else nonconnected_assemble(mu, d))
     elif config.connected:
         generic = connected_any(mu, d, config.weight_cap, config.degree_cap)
     else:
         generic = hurwitz_any(mu, d, config.weight_cap, config.degree_cap)
     return HurwitzResult(mu, d, config.connected, pipeline, specialize(generic, model),
                          model.describe())
-
-
-def _display(value) -> str:
-    # text output shows quantum values in the (q;q)_m style of the tables;
-    # json/csv carry the raw normalized form
-    if isinstance(value, QRat):
-        return qrat_pretty(value)
-    return str(value)
 
 
 def cmd_compute(args) -> int:
@@ -181,7 +172,7 @@ def cmd_compute(args) -> int:
         for r in results:
             tag = "connected" if r.connected else "nonconnected"
             print(f"H^{r.d}({args.mu}) {tag} [{r.model}, {r.pipeline}] = "
-                  f"{_display(r.value)}")
+                  f"{display(r.value)}")
     return EXIT_OK
 
 

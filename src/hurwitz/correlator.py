@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .algebra import GPoly
 from .partitions import Partition, as_partition, aut_of
@@ -138,23 +137,19 @@ def connected_closed_form(mu: Partition, d: int) -> GPoly:
 
 # -- nonconnected assembly (cumulants, length <= 3) ----------------------
 
-ConnectedSupplier = Callable[[Partition, int], GPoly]
-
-
-def nonconnected_assemble(mu: Partition, d: int,
-                          connected: ConnectedSupplier) -> GPoly:
-    """Nonconnected value from connected ones for length(mu) <= 3."""
+def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
+    """Nonconnected value from the connected closed forms for length(mu) <= 3."""
     mu = as_partition(mu)
     n = len(mu)
+
+    def single(m: int, k: int) -> GPoly:
+        return connected_closed_form((m,), k)
+
     if n == 1:
-        return connected(mu, d)
+        return connected_closed_form(mu, d)
     if n == 2:
         mu1, mu2 = mu
-
-        def single(m: int, k: int) -> GPoly:
-            return connected((m,), k)
-
-        acc = connected(mu, d)
+        acc = connected_closed_form(mu, d)
         cross = GPoly.zero()
         for k in range(d + 1):
             cross = cross + single(mu1, k) * single(mu2, d - k)
@@ -162,11 +157,8 @@ def nonconnected_assemble(mu: Partition, d: int,
     if n == 3:
         mu1, mu2, mu3 = mu
 
-        def single(m: int, k: int) -> GPoly:
-            return connected((m,), k)
-
         def pair(a: int, b: int, k: int) -> GPoly:
-            return nonconnected_assemble(as_partition((a, b)), k, connected)
+            return nonconnected_assemble(as_partition((a, b)), k)
 
         acc = GPoly.zero()
         for k in range(d + 1):
@@ -175,7 +167,7 @@ def nonconnected_assemble(mu: Partition, d: int,
             acc = acc + single(mu3, k) * pair(mu1, mu2, d - k).scale(aut_of((mu1, mu2)))
             for j in range(d - k + 1):
                 acc = acc - (single(mu1, j) * single(mu2, k) * single(mu3, d - j - k)).scale(2)
-        return connected(mu, d) + acc / aut_of(mu)
+        return connected_closed_form(mu, d) + acc / aut_of(mu)
     raise ValueError("closed-form assembly covers length <= 3 only")
 
 

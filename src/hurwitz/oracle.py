@@ -335,26 +335,3 @@ def weighted_from_definition(mu: Partition, d: int, model: WeightModel,
         total += w * count
     return total
 
-
-def errata_report(scope: str = "full") -> list[dict]:
-    """Machine-readable list of published cells conflicting with consensus."""
-    from .tables import compare_tables, table_ids
-
-    ids = table_ids()
-    if scope == "quick":
-        ids = [t for t in ids if t in ("A1", "A2", "A3", "B4", "B5", "B8")]
-    report = []
-    for table_id in ids:
-        for row in compare_tables(table_id):
-            if row["match"]:
-                continue
-            report.append(
-                {
-                    "table": table_id,
-                    "cell": row["cell"],
-                    "printed": row["printed"],
-                    "consensus": row["computed"],
-                    "pipelines": row["pipelines"],
-                }
-            )
-    return report

@@ -186,6 +186,17 @@ def _mobius(n: int) -> int:
     return -out if n > 1 else out
 
 
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
 def _cyclotomic(k: int) -> list[int]:
     """Coefficients of the monic cyclotomic polynomial Phi_k, ascending."""
     if k == 1:
@@ -255,6 +266,8 @@ class QRat:
         for k in range(1, max_index + 1):
             if len(rest) == 1:
                 break
+            if _totient(k) >= len(rest):
+                continue    # deg Phi_k = phi(k) exceeds the degree of what is left
             phi, n = _cyclotomic(k), 0
             while (quo := _divide_monic(rest, phi)) is not None:
                 rest, n = quo, n + 1

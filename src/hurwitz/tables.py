@@ -18,15 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import GPoly
-from .correlator import (
-    connected_closed_form,
-    nonconnected_assemble,
-    rho_coeff,
-)
+from .correlator import connected_closed_form, nonconnected_assemble, rho_coeff
+from .oracle import weighted_from_definition
 from .partitions import Partition, format_partition
 from .qrational import QPoly, QRat
 from .tau import connected_any, hurwitz_any
-from .weights import WeightModel, qrat_pretty, specialize
+from .weights import WeightModel, display, specialize
 
 
 class PipelineDisagreement(RuntimeError):
@@ -298,186 +295,131 @@ def table_ids() -> list[str]:
     return ["A1", "A2", "A3"] + [f"B{i}" for i in range(4, 14)]
 
 
-def _mu_cell(mu: Partition, d: int, suffix: str = "") -> str:
-    body = f"({format_partition(mu)}) d={d}"
-    return f"{body} {suffix}".strip()
+# the tables `verify --scope quick` compares, and so the quick errata report
+QUICK_TABLE_IDS = ("A1", "A2", "A3", "B4", "B5", "B6", "B7", "B8", "B9")
+
+# B table id -> (weight model kind, connected, printed values); B8 and B9
+# print connected and nonconnected values side by side
+_B_TABLES = {
+    "B4": ("generic", False, B4_PRINTED),
+    "B5": ("generic", True, B5_PRINTED),
+    "B6": ("generic", False, B6_PRINTED),
+    "B7": ("generic", True, B7_PRINTED),
+    "B8": ("exp", None, B8_PRINTED),
+    "B9": ("exp", None, B9_PRINTED),
+    "B10": ("quantum", False, B10_PRINTED),
+    "B11": ("quantum", True, B11_PRINTED),
+    "B12": ("quantum", False, B12_PRINTED),
+    "B13": ("quantum", True, B13_PRINTED),
+}
 
 
 @lru_cache(maxsize=None)
-def _engine_generic(mu: Partition, d: int, connected: bool):
-    """Generic value via both pipelines; returns (value, pipelines dict)."""
+def _consensus(mu: Partition, d: int, connected: bool) -> tuple[GPoly, tuple[str, ...]]:
+    """The generic value and the pipelines that agree on it: tau, and the
+    closed forms for length <= 3.  Shared by every weight model's table."""
     via_tau = connected_any(mu, d) if connected else hurwitz_any(mu, d)
-    pipelines = {"tau": str(via_tau)}
-    if len(mu) <= 3:
-        if connected:
-            via_corr = connected_closed_form(mu, d)
-        else:
-            via_corr = nonconnected_assemble(mu, d, connected_closed_form)
-        pipelines["correlator"] = str(via_corr)
-        if via_corr != via_tau:
-            raise PipelineDisagreement(
-                f"pipeline disagreement at mu={mu}, d={d}, connected={connected}: "
-                f"tau={via_tau} correlator={via_corr}"
-            )
-    return via_tau, pipelines
+    if len(mu) > 3:
+        return via_tau, ("tau",)
+    via_corr = connected_closed_form(mu, d) if connected else nonconnected_assemble(mu, d)
+    if via_corr != via_tau:
+        raise PipelineDisagreement(
+            f"pipeline disagreement at mu={mu}, d={d}, connected={connected}: "
+            f"tau={via_tau} correlator={via_corr}"
+        )
+    return via_tau, ("tau", "correlator")
 
 
-def _rows_A(table_id: str) -> list[dict]:
-    d, printed, corner = _A_TABLES[table_id]
-    rows = []
-    for a in range(5):
-        for b in range(5):
-            if (a, b) in printed:
-                want = printed[(a, b)]
-                provenance = "printed"
-            elif (a, b) == (4, 4):
-                want = corner
-                provenance = "printed"
-            else:
-                # column completed via the transpose symmetry
-                want = printed[(b, a)].scale((-1) ** (a + b + d))
-                provenance = "symmetry"
-            got = rho_coeff(a, b, d)
-            rows.append(
-                {
-                    "cell": f"({a},{b})",
-                    "printed": str(want),
-                    "computed": str(got),
-                    "match": want == got,
-                    "provenance": provenance,
-                    "pipelines": {"correlator": str(got)},
-                }
-            )
-    return rows
-
-
-def _exp_value(mu: Partition, d: int, connected: bool) -> tuple[Fraction, dict]:
-    generic, pipelines = _engine_generic(mu, d, connected)
+def _value(kind: str, mu: Partition, d: int, connected: bool):
+    """The consensus value under the table's weight model, and its pipelines."""
+    generic, names = _consensus(mu, d, connected)
+    if kind == "generic":
+        return generic, names
+    if kind == "quantum":
+        return specialize(generic, WeightModel.quantum()), names
     model = WeightModel.exponential()
     value = specialize(generic, model)
-    pipelines = {name: str(value) for name in pipelines}
-    if not connected:
-        # third route: the all-transpositions count, straight from characters
-        from .oracle import weighted_from_definition
-
-        oracle_val = weighted_from_definition(mu, d, model)
-        pipelines["oracle"] = str(oracle_val)
-        if oracle_val != value:
-            raise PipelineDisagreement(
-                f"oracle disagreement at mu={mu}, d={d}: {oracle_val} vs {value}"
-            )
-    return value, pipelines
-
-
-@lru_cache(maxsize=None)
-def _quantum_specialized(mu: Partition, d: int, connected: bool) -> QRat:
-    generic, _ = _engine_generic(mu, d, connected)
-    return specialize(generic, WeightModel.quantum())
-
-
-def _quantum_value(mu: Partition, d: int, connected: bool) -> tuple[QRat, str, dict]:
-    """The value, its (q;q)_m display, and that display for each pipeline."""
-    _, pipelines = _engine_generic(mu, d, connected)
-    value = _quantum_specialized(mu, d, connected)
-    shown = qrat_pretty(value)
-    return value, shown, {name: shown for name in pipelines}
-
-
-def _rows_generic(printed: dict, connected: bool) -> list[dict]:
-    rows = []
-    for (mu, d), want in sorted(printed.items()):
-        got, pipelines = _engine_generic(mu, d, connected)
-        rows.append(
-            {
-                "cell": _mu_cell(mu, d),
-                "printed": str(want),
-                "computed": str(got),
-                "match": want == got,
-                "provenance": "printed",
-                "pipelines": pipelines,
-            }
+    if connected:
+        return value, names
+    # third route: the all-transpositions count, straight from characters
+    via_oracle = weighted_from_definition(mu, d, model)
+    if via_oracle != value:
+        raise PipelineDisagreement(
+            f"oracle disagreement at mu={mu}, d={d}: {via_oracle} vs {value}"
         )
-    return rows
+    return value, names + ("oracle",)
 
 
-def _rows_exp(table_id: str) -> list[dict]:
-    rows = []
+def _cells(table_id: str):
+    """(cell, printed, provenance, computed, pipelines) in print order."""
+    if table_id in _A_TABLES:
+        d, printed, corner = _A_TABLES[table_id]
+        for a in range(5):
+            for b in range(5):
+                if (a, b) in printed or (a, b) == (4, 4):
+                    want, provenance = printed.get((a, b), corner), "printed"
+                else:
+                    # column completed via the transpose symmetry
+                    want = printed[(b, a)].scale((-1) ** (a + b + d))
+                    provenance = "symmetry"
+                yield f"({a},{b})", want, provenance, rho_coeff(a, b, d), ("correlator",)
+        return
+    if table_id not in _B_TABLES:
+        raise ValueError(f"unknown table id {table_id!r}")
+    kind, connected, printed = _B_TABLES[table_id]
     if table_id == "B8":
-        for mu, cols in sorted(B8_PRINTED.items()):
-            N, ell = sum(mu), len(mu)
-            cells = [
-                (N + ell - 2, True, cols[0]),
-                (N + ell, True, cols[1]),
-                (N + ell - 2, False, cols[2]),
-                (N + ell, False, cols[3]),
-            ]
-            for d, connected, want in cells:
-                got, pipelines = _exp_value(mu, d, connected)
-                rows.append(
-                    {
-                        "cell": _mu_cell(mu, d, "connected" if connected else "nonconnected"),
-                        "printed": str(want),
-                        "computed": str(got),
-                        "match": want == got,
-                        "provenance": "printed",
-                        "pipelines": pipelines,
-                    }
-                )
+        # columns: connected at d = N+l-2 and N+l, then nonconnected at both
+        cells = []
+        for mu, cols in sorted(printed.items()):
+            lo = sum(mu) + len(mu) - 2
+            cells += zip([mu] * 4, (lo, lo + 2, lo, lo + 2), (True, True, False, False), cols)
+    elif table_id == "B9":
+        cells = [(mu, d, c, want) for (mu, d), pair in sorted(printed.items())
+                 for c, want in zip((True, False), pair)]
     else:
-        for (mu, d), (want_c, want_n) in sorted(B9_PRINTED.items()):
-            for connected, want in ((True, want_c), (False, want_n)):
-                got, pipelines = _exp_value(mu, d, connected)
-                rows.append(
-                    {
-                        "cell": _mu_cell(mu, d, "connected" if connected else "nonconnected"),
-                        "printed": str(want),
-                        "computed": str(got),
-                        "match": want == got,
-                        "provenance": "printed",
-                        "pipelines": pipelines,
-                    }
-                )
-    return rows
-
-
-def _rows_quantum(printed: dict, connected: bool) -> list[dict]:
-    rows = []
-    for (mu, d), want in sorted(printed.items()):
-        got, shown, pipelines = _quantum_value(mu, d, connected)
-        rows.append(
-            {
-                "cell": _mu_cell(mu, d),
-                "printed": qrat_pretty(want),
-                "computed": shown,
-                "match": want == got,
-                "provenance": "printed",
-                "pipelines": pipelines,
-            }
-        )
-    return rows
+        cells = [(mu, d, connected, want) for (mu, d), want in sorted(printed.items())]
+    for mu, d, c, want in cells:
+        cell = f"({format_partition(mu)}) d={d}"
+        if kind == "exp":
+            cell += " connected" if c else " nonconnected"
+        yield (cell, want, "printed") + _value(kind, mu, d, c)
 
 
 def compare_tables(table_id: str) -> list[dict]:
-    """Rows of {cell, printed, computed, match, provenance, pipelines}."""
-    table_id = table_id.upper()
-    if table_id in _A_TABLES:
-        return _rows_A(table_id)
-    if table_id == "B4":
-        return _rows_generic(B4_PRINTED, connected=False)
-    if table_id == "B5":
-        return _rows_generic(B5_PRINTED, connected=True)
-    if table_id == "B6":
-        return _rows_generic(B6_PRINTED, connected=False)
-    if table_id == "B7":
-        return _rows_generic(B7_PRINTED, connected=True)
-    if table_id in ("B8", "B9"):
-        return _rows_exp(table_id)
-    if table_id == "B10":
-        return _rows_quantum(B10_PRINTED, connected=False)
-    if table_id == "B11":
-        return _rows_quantum(B11_PRINTED, connected=True)
-    if table_id == "B12":
-        return _rows_quantum(B12_PRINTED, connected=False)
-    if table_id == "B13":
-        return _rows_quantum(B13_PRINTED, connected=True)
-    raise ValueError(f"unknown table id {table_id!r}")
+    """Rows of {cell, printed, computed, match, provenance, pipelines}.
+
+    Raises PipelineDisagreement when two pipelines disagree on a cell, so
+    each pipeline's entry is the computed value."""
+    rows = []
+    for cell, want, provenance, got, names in _cells(table_id.upper()):
+        shown = display(got)
+        rows.append(
+            {
+                "cell": cell,
+                "printed": display(want),
+                "computed": shown,
+                "match": want == got,
+                "provenance": provenance,
+                "pipelines": {name: shown for name in names},
+            }
+        )
+    return rows
+
+
+def errata_report(scope: str = "full") -> list[dict]:
+    """Machine-readable list of published cells conflicting with consensus;
+    scope "quick" covers QUICK_TABLE_IDS, "full" every table."""
+    report = []
+    for table_id in QUICK_TABLE_IDS if scope == "quick" else table_ids():
+        for row in compare_tables(table_id):
+            if not row["match"]:
+                report.append(
+                    {
+                        "table": table_id,
+                        "cell": row["cell"],
+                        "printed": row["printed"],
+                        "consensus": row["computed"],
+                        "pipelines": row["pipelines"],
+                    }
+                )
+    return report

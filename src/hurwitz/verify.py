@@ -34,7 +34,7 @@ from .partitions import (
     partitions_of,
     set_partitions,
 )
-from .tables import KNOWN_ERRATA, compare_tables
+from .tables import A1_PRINTED, A2_PRINTED, A3_PRINTED, KNOWN_ERRATA, compare_tables
 from .tau import connected_any, hurwitz_any
 from .weights import WeightModel, specialize
 
@@ -67,73 +67,57 @@ def _profiles(max_weight: int, lengths: tuple[int, ...]) -> list[tuple[int, ...]
     return out
 
 
+def _table_failures(ids) -> list[str]:
+    """Cells of the tables `ids` that match their print but are known errata,
+    or differ from it but are not; compare_tables raises when pipelines
+    disagree."""
+    failures = []
+    for table_id in ids:
+        for row in compare_tables(table_id):
+            known = (table_id, row["cell"]) in KNOWN_ERRATA
+            if row["match"] == known:
+                state = "matches but is a known erratum" if known else (
+                    f"printed {row['printed']} vs computed {row['computed']}")
+                failures.append(f"{table_id} {row['cell']}: {state}")
+    return failures
+
+
 def check_rho_tables() -> CheckResult:
     """Criterion 1: the small-index rho grids, symmetry-consistent cells exact."""
-    from .tables import A1_PRINTED, A2_PRINTED, A3_PRINTED
-
     t0 = time.perf_counter()
-    failures: list[str] = []
-    flagged = 0
-    printed_grids = {"A1": A1_PRINTED, "A2": A2_PRINTED, "A3": A3_PRINTED}
-    for table_id, d in (("A1", 1), ("A2", 2), ("A3", 3)):
-        printed = printed_grids[table_id]
-        for row in compare_tables(table_id):
-            cell = row["cell"]
-            if row["match"]:
-                if (table_id, cell) in KNOWN_ERRATA:
-                    failures.append(f"{table_id} {cell}: expected erratum but matches")
-                continue
-            flagged += 1
-            if (table_id, cell) not in KNOWN_ERRATA:
-                failures.append(
-                    f"{table_id} {cell}: printed {row['printed']} vs computed {row['computed']}"
-                )
-                continue
-            # the flagged cell's consensus must be the symmetry image of its
-            # (consistent) transpose's printed value
-            a, b = (int(x) for x in cell.strip("()").split(","))
-            transpose = printed.get((b, a))
-            if transpose is not None:
-                forced = transpose.scale((-1) ** (a + b + d))
-                if rho_coeff(a, b, d) != forced:
-                    failures.append(f"{table_id} {cell}: consensus not symmetry-forced")
-        # full grid symmetry: every computed cell obeys the transpose sign rule
+    failures = _table_failures(("A1", "A2", "A3"))
+    grids = {"A1": (1, A1_PRINTED), "A2": (2, A2_PRINTED), "A3": (3, A3_PRINTED)}
+    errata = sorted((t, cell) for t, cell in KNOWN_ERRATA if t in grids)
+    for table_id, cell in errata:
+        # an erratum's consensus must be the symmetry image of its
+        # (consistent) transpose's printed value
+        d, printed = grids[table_id]
+        a, b = (int(x) for x in cell.strip("()").split(","))
+        transpose = printed.get((b, a))
+        if transpose is not None and rho_coeff(a, b, d) != transpose.scale((-1) ** (a + b + d)):
+            failures.append(f"{table_id} {cell}: consensus not symmetry-forced")
+    # full grid symmetry: every computed cell obeys the transpose sign rule
+    for d, _ in grids.values():
         for a in range(5):
             for b in range(5):
-                lhs = rho_coeff(a, b, d)
-                rhs = rho_coeff(b, a, d).scale((-1) ** (a + b + d))
-                if lhs != rhs:
+                if rho_coeff(a, b, d) != rho_coeff(b, a, d).scale((-1) ** (a + b + d)):
                     failures.append(f"rho^{d}_({a},{b}) violates transpose symmetry")
     return _timed("1 rho tables (A1-A3, symmetry-forced errata flagged)",
-                  failures, f"{flagged} errata cells", t0)
+                  failures, f"{len(errata)} errata cells", t0)
 
 
 def check_generic_tables() -> CheckResult:
     """Criterion 2: generic tables via both the closed forms and the
     character pipeline, modulo the frozen errata."""
     t0 = time.perf_counter()
-    failures: list[str] = []
-    for table_id in ("B4", "B5", "B6", "B7"):
-        for row in compare_tables(table_id):  # raises on pipeline disagreement
-            known = (table_id, row["cell"]) in KNOWN_ERRATA
-            if row["match"] == known:
-                state = "matches but is a known erratum" if known else (
-                    f"printed {row['printed']} vs computed {row['computed']}")
-                failures.append(f"{table_id} {row['cell']}: {state}")
+    failures = _table_failures(("B4", "B5", "B6", "B7"))
     return _timed("2 generic tables (B4-B7, both pipelines)", failures, "", t0)
 
 
 def check_simple_tables() -> CheckResult:
     """Criterion 3: exponential specializations, with published spot values."""
     t0 = time.perf_counter()
-    failures: list[str] = []
-    for table_id in ("B8", "B9"):
-        for row in compare_tables(table_id):
-            known = (table_id, row["cell"]) in KNOWN_ERRATA
-            if row["match"] == known:
-                state = "matches but is a known erratum" if known else (
-                    f"printed {row['printed']} vs computed {row['computed']}")
-                failures.append(f"{table_id} {row['cell']}: {state}")
+    failures = _table_failures(("B8", "B9"))
     exp = WeightModel.exponential()
     spots = [
         ((1, 1, 1), 4, True, Fraction(1, 6)),
@@ -152,14 +136,7 @@ def check_simple_tables() -> CheckResult:
 def check_quantum_tables() -> CheckResult:
     """Criterion 4: quantum tables as exact rational-function identities."""
     t0 = time.perf_counter()
-    failures: list[str] = []
-    for table_id in ("B10", "B11", "B12", "B13"):
-        for row in compare_tables(table_id):
-            known = (table_id, row["cell"]) in KNOWN_ERRATA
-            if row["match"] == known:
-                state = "matches but is a known erratum" if known else (
-                    f"printed {row['printed']} vs computed {row['computed']}")
-                failures.append(f"{table_id} {row['cell']}: {state}")
+    failures = _table_failures(("B10", "B11", "B12", "B13"))
     # spot values, exactly as published
     from .qrational import QPoly, QRat
 

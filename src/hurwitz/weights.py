@@ -220,6 +220,12 @@ def _specialize_symbolic_q(p: GPoly) -> QRat:
 # -- display-only (q;q)_m formatter --------------------------------------
 
 
+def display(value) -> str:
+    """A value as tables and text output show it: quantum values in the
+    (q;q)_m style of the published tables, anything else as str."""
+    return qrat_pretty(value) if isinstance(value, QRat) else str(value)
+
+
 def qrat_pretty(v: QRat, max_index: int = 24) -> str:
     """Try to present v as P(q) / (s(q;q)_m) with integer-coefficient P and
     the smallest feasible m; fall back to the plain num/den form.

@@ -140,7 +140,7 @@ def test_selection_rule_zero_matches_pipelines(capsys, model):
             elif connected:
                 generic = connected_closed_form(mu, d)
             else:
-                generic = nonconnected_assemble(mu, d, connected_closed_form)
+                generic = nonconnected_assemble(mu, d)
             assert generic.is_zero()
             parsed = parse_model(model)
             value = generic if parsed.kind == "generic" else specialize(generic, parsed)
@@ -240,11 +240,11 @@ def test_table_csv(capsys):
 
 def test_pipeline_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(tables, "connected_closed_form", lambda mu, d: GPoly.var(1))
-    tables._engine_generic.cache_clear()
+    tables._consensus.cache_clear()
     try:
         code, _, err = run_cli(capsys, "table", "B5")
     finally:
-        tables._engine_generic.cache_clear()
+        tables._consensus.cache_clear()
     assert code == 3
     assert err.startswith("hurwitz: verification failed: pipeline disagreement")
     assert err.count("\n") == 1

@@ -72,19 +72,17 @@ def test_connected_len3():
 
 
 def test_nonconnected_assemble():
-    supplier = connected_closed_form
-    assert nonconnected_assemble((2, 1), 3, supplier) == \
-        g(1) * g(2) + g(3).scale(Fraction(3, 2))
+    assert nonconnected_assemble((2, 1), 3) == g(1) * g(2) + g(3).scale(Fraction(3, 2))
     # single part: nonconnected equals connected
-    assert nonconnected_assemble((2,), 3, supplier) == connected_len1(2, 3)
+    assert nonconnected_assemble((2,), 3) == connected_len1(2, 3)
     # two equal parts at low order: only the split contributes
-    assert nonconnected_assemble((2, 2), 2, supplier) == (g(1) ** 2).scale(Fraction(1, 8))
+    assert nonconnected_assemble((2, 2), 2) == (g(1) ** 2).scale(Fraction(1, 8))
 
 
 def test_nonconnected_matches_character_pipeline():
     for mu in [(2,), (3,), (2, 1), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]:
         for d in range(7):
-            assert nonconnected_assemble(mu, d, connected_closed_form) == hurwitz_any(mu, d)
+            assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d)
 
 
 def test_wtilde_n1_matches_len1():
@@ -122,5 +120,4 @@ def test_sweep_orders_agree_with_tau_in_any_question_order():
     for mu in [(9,), (4, 4), (5, 1, 1)]:
         for d in orders:
             assert connected_closed_form(mu, d) == connected_any(mu, d), (mu, d)
-            assert nonconnected_assemble(mu, d, connected_closed_form) == \
-                hurwitz_any(mu, d), (mu, d)
+            assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d), (mu, d)

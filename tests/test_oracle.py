@@ -11,13 +11,12 @@ from hurwitz.oracle import (
     FactorizationQuery,
     class_elements,
     class_size,
-    errata_report,
     pure_hurwitz_char,
     pure_hurwitz_enum,
     weighted_from_definition,
 )
 from hurwitz.partitions import CapExceeded, partitions_of, sym_eval, z_of
-from hurwitz.tables import KNOWN_ERRATA
+from hurwitz.tables import KNOWN_ERRATA, errata_report
 from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import WeightModel, specialize
 

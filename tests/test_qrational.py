@@ -1,6 +1,7 @@
 """QPoly arithmetic and quantum values P(q)/(q;q)_m in reduced form."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -106,6 +107,17 @@ def test_json_round_trip():
 def test_from_json_rejects_unreduced_pairs(data):
     with pytest.raises(ValueError):
         QRat.from_json(data)
+
+
+def test_from_json_rejects_a_large_noncyclotomic_denominator_quickly():
+    # a Phi_k whose degree phi(k) exceeds what is left of the denominator
+    # is skipped unbuilt, so k running to 2 * 60^2 stays cheap
+    rng = random.Random(60)
+    den = [str(rng.randint(-9, 9)) for _ in range(60)] + ["1"]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        QRat.from_json({"num": ["1"], "den": den})
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_q_multinomial():

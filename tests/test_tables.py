@@ -1,6 +1,13 @@
 """Published-table comparisons and the frozen errata set."""
 
-from hurwitz.tables import KNOWN_ERRATA, compare_tables, table_ids
+from hurwitz import verify
+from hurwitz.tables import (
+    KNOWN_ERRATA,
+    QUICK_TABLE_IDS,
+    compare_tables,
+    errata_report,
+    table_ids,
+)
 
 
 def test_table_ids():
@@ -41,3 +48,32 @@ def test_known_errata_coverage():
             if not row["match"]:
                 flagged.add((table_id, row["cell"]))
     assert flagged == KNOWN_ERRATA
+
+
+def test_every_pipeline_entry_is_the_computed_value():
+    for table_id in table_ids():
+        for row in compare_tables(table_id):
+            assert row["pipelines"], (table_id, row["cell"])
+            assert set(row["pipelines"].values()) == {row["computed"]}, (table_id, row["cell"])
+
+
+def test_quick_errata_report_covers_a1_to_b9():
+    quick = ("A1", "A2", "A3", "B4", "B5", "B6", "B7", "B8", "B9")
+    report = errata_report("quick")
+    assert [(e["table"], e["cell"]) for e in report] == \
+        [(e["table"], e["cell"]) for e in errata_report("full") if e["table"] in quick]
+    assert {(e["table"], e["cell"]) for e in report} == \
+        {key for key in KNOWN_ERRATA if key[0] in quick}
+    assert len(report) == 8
+
+
+def test_quick_suite_compares_the_quick_tables(monkeypatch):
+    compared = []
+
+    def recording(table_id):
+        compared.append(table_id)
+        return compare_tables(table_id)
+
+    monkeypatch.setattr(verify, "compare_tables", recording)
+    assert all(result.passed for result in verify.run_suite("quick"))
+    assert tuple(compared) == QUICK_TABLE_IDS
