@@ -32,7 +32,8 @@ def _strip(exp: Iterable[int]) -> Exponent:
     return e
 
 
-def _mono_mul(a: Exponent, b: Exponent) -> Exponent:
+def mono_mul(a: Exponent, b: Exponent) -> Exponent:
+    """Exponent tuple of the product of two monomials."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -85,6 +86,15 @@ class GPoly:
         if i < 1:
             raise ValueError(f"variable index must be >= 1, got {i}")
         return GPoly({(0,) * (i - 1) + (1,): Fraction(coef)})
+
+    @staticmethod
+    def from_int_terms(terms: Mapping[Exponent, int], scale: RationalLike = 1) -> GPoly:
+        """scale * sum c * g^e over an integer term map whose keys are
+        already stripped; zero coefficients are dropped."""
+        s = Fraction(scale)
+        if not s:
+            return _ZERO
+        return _wrap({e: s * c for e, c in terms.items() if c})
 
     # -- inspection ---------------------------------------------------
 
@@ -158,7 +168,7 @@ class GPoly:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = _mono_mul(e1, e2)
+                e = mono_mul(e1, e2)
                 s = out.get(e, _F0) + c1 * c2
                 if s:
                     out[e] = s
@@ -237,13 +247,38 @@ class GPoly:
         ]
 
     @staticmethod
-    def from_json(data: list[dict]) -> GPoly:
-        terms: dict[Exponent, Fraction] = {}
+    def from_json(data: list[dict], degree: int | None = None) -> GPoly:
+        """Inverse of `to_json`.
+
+        Raises ValueError for a variable index or a power below 1, a
+        repeated monomial, a zero denominator and, when `degree` is given, a
+        term of another weighted degree.  Every check reads the sparse
+        {index: power} maps, so no exponent tuple is built for a term that
+        fails one.
+        """
+        sparse: list[tuple[dict[int, int], Fraction]] = []
+        seen: set[frozenset] = set()
         for item in data:
-            idx = {int(i): int(k) for i, k in item["exp"].items()}
-            exp = _strip(idx.get(i, 0) for i in range(1, max(idx, default=0) + 1))
-            terms[exp] = Fraction(int(item["num"]), int(item["den"]))
-        return GPoly(terms)
+            idx: dict[int, int] = {}
+            for i, k in item["exp"].items():
+                i, k = int(i), int(k)
+                if i < 1 or k < 1 or i in idx:
+                    raise ValueError(f"bad monomial {item['exp']!r}: each index "
+                                     "and power must be >= 1, indices distinct")
+                idx[i] = k
+            key = frozenset(idx.items())
+            if key in seen:
+                raise ValueError(f"repeated monomial {item['exp']!r}")
+            seen.add(key)
+            if degree is not None and sum(i * k for i, k in idx.items()) != degree:
+                raise ValueError(f"monomial {item['exp']!r} is not of weighted "
+                                 f"degree {degree}")
+            den = int(item["den"])
+            if not den:
+                raise ValueError(f"zero denominator in the term of {item['exp']!r}")
+            sparse.append((idx, Fraction(int(item["num"]), den)))
+        return GPoly({tuple(idx.get(i, 0) for i in range(1, max(idx, default=0) + 1)): c
+                      for idx, c in sparse})
 
 
 _F0 = Fraction(0)

@@ -106,11 +106,13 @@ def _d_values(args) -> range:
         if args.d < 0:
             raise ValueError("d must be >= 0")
         return range(args.d, args.d + 1)
-    lo, _, hi = args.d_range.partition(":")
-    lo_i, hi_i = int(lo), int(hi)
-    if lo_i < 0 or hi_i < lo_i:
-        raise ValueError(f"bad d range {args.d_range!r}")
-    return range(lo_i, hi_i + 1)
+    try:
+        lo, hi = map(int, args.d_range.split(":"))
+        if lo < 0 or hi < lo:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad d range {args.d_range!r}; expected lo:hi") from None
+    return range(lo, hi + 1)
 
 
 def _vanishes(mu: tuple[int, ...], d: int, connected: bool) -> bool:

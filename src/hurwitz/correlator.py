@@ -8,9 +8,12 @@ whose beta^d coefficient rho^d_{ab} is a homogeneous GPoly of weighted
 degree d.  The scalar denominator divides the whole product once (reading
 it inside the product symbol does not reproduce the small-index reference
 values).  The coefficients satisfy rho^d_{ab} = (-1)^{a+b+d} rho^d_{ba}.
-Only single coefficients are ever read, so `rho_coeff` and the pair
-products are computed and cached per index d, never as truncated series:
-asking for a higher d reuses every lower coefficient already held.
+Only single coefficients are ever read, so they are computed and cached
+per index d, never as truncated series: asking for a higher d reuses every
+lower coefficient already held.  The bracketed product has integer
+coefficients (`series.g_terms`), so pair and triple products of rho
+coefficients are convolved as integer term maps and scaled once, by the
+product of their scalar prefactors.
 
 Three consumers:
 
@@ -36,34 +39,52 @@ from functools import lru_cache
 
 from .algebra import GPoly
 from .partitions import Partition, as_partition, aut_of
-from .series import g_coeff
+from .series import Terms, add_product, g_terms
+
+
+def _rho_scale(a: int, b: int) -> Fraction:
+    if a < 0 or b < 0:
+        raise ValueError("rho indices must be >= 0")
+    return Fraction((-1) ** b, math.factorial(a) * math.factorial(b) * (a + b + 1))
+
+
+def _rho_terms(a: int, b: int, d: int) -> Terms:
+    """[beta^d] prod_{i=-b}^{a} G(i beta) as an integer term map (G(0) = 1)."""
+    return g_terms(tuple(i for i in range(-b, a + 1) if i), d)
 
 
 @lru_cache(maxsize=None)
 def rho_coeff(a: int, b: int, d: int) -> GPoly:
     """rho^d_{ab} as a GPoly."""
-    if a < 0 or b < 0:
-        raise ValueError("rho indices must be >= 0")
-    prod = g_coeff(tuple(range(-b, a + 1)), d)
-    return prod.scale(Fraction((-1) ** b, math.factorial(a) * math.factorial(b) * (a + b + 1)))
+    return GPoly.from_int_terms(_rho_terms(a, b, d), _rho_scale(a, b))
 
 
 @lru_cache(maxsize=None)
+def _pair_terms(r1: tuple[int, int], r2: tuple[int, int], d: int) -> Terms:
+    """The integer product map under [beta^d] rho_{r1} rho_{r2}, r = (a, b);
+    callers pass r1 <= r2, since the product is symmetric."""
+    out: dict = {}
+    for k in range(d + 1):
+        add_product(out, _rho_terms(*r1, k), _rho_terms(*r2, d - k))
+    return {e: c for e, c in out.items() if c}
+
+
 def _rho_pair_coeff(a1: int, b1: int, a2: int, b2: int, d: int) -> GPoly:
     """[beta^d] rho_{a1 b1} rho_{a2 b2}."""
-    acc = GPoly.zero()
-    for k in range(d + 1):
-        acc = acc + rho_coeff(a1, b1, k) * rho_coeff(a2, b2, d - k)
-    return acc
+    r1, r2 = sorted(((a1, b1), (a2, b2)))
+    return GPoly.from_int_terms(_pair_terms(r1, r2, d),
+                                _rho_scale(a1, b1) * _rho_scale(a2, b2))
 
 
 def _rho_triple_coeff(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int,
                       d: int) -> GPoly:
     """[beta^d] rho_{a1 b1} rho_{a2 b2} rho_{a3 b3}."""
-    acc = GPoly.zero()
+    r1, r2 = sorted(((a1, b1), (a2, b2)))
+    out: dict = {}
     for k in range(d + 1):
-        acc = acc + _rho_pair_coeff(a1, b1, a2, b2, k) * rho_coeff(a3, b3, d - k)
-    return acc
+        add_product(out, _pair_terms(r1, r2, k), _rho_terms(a3, b3, d - k))
+    return GPoly.from_int_terms(
+        out, _rho_scale(a1, b1) * _rho_scale(a2, b2) * _rho_scale(a3, b3))
 
 
 # -- closed forms for length(mu) <= 3 ------------------------------------

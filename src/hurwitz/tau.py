@@ -197,16 +197,16 @@ class HurwitzResult:
         from .partitions import parse_partition
         from .qrational import QRat
 
-        raw = data["value"]
+        raw, d = data["value"], int(data["d"])
         if isinstance(raw, str):
             value: Any = Fraction(raw)
         elif isinstance(raw, dict):
             value = QRat.from_json(raw)
-        else:
-            value = GPoly.from_json(raw)
+        else:   # a generic value is homogeneous of weighted degree d
+            value = GPoly.from_json(raw, degree=d)
         return HurwitzResult(
             mu=parse_partition(data["mu"]),
-            d=int(data["d"]),
+            d=d,
             connected=bool(data["connected"]),
             pipeline=data["pipeline"],
             model=data.get("model", "generic"),

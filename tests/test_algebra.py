@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,30 @@ def test_json_round_trip():
     data = p.to_json()
     assert data[0]["exp"] == {"1": 1, "2": 1}
     assert GPoly.from_json(data) == p
+    q = g1 * g2 + g3.scale(half)
+    assert GPoly.from_json(q.to_json(), degree=3) == q
+    assert GPoly.from_json([], degree=7) == GPoly.zero()
+    with pytest.raises(ValueError):
+        GPoly.from_json(data, degree=3)   # the g5 term has degree 5
+
+
+def _term(exp, num="1", den="1"):
+    return {"exp": exp, "num": num, "den": den}
+
+
+@pytest.mark.parametrize("data", [
+    [_term({"0": 1})],                        # index below 1
+    [_term({"-2": 1})],
+    [_term({"1": -1})],                       # power below 1
+    [_term({"1": 0})],
+    [_term({"1": 1, "01": 1})],               # one index written twice
+    [_term({"1": 1}), _term({"1": 1}, "2")],  # repeated monomial
+    [_term({"1": 2, "2": 1}), _term({"2": 1, "1": 2})],
+    [_term({"1": 1}, den="0")],               # zero denominator
+])
+def test_from_json_rejects_malformed_terms(data):
+    with pytest.raises(ValueError):
+        GPoly.from_json(data)
 
 
 coeffs = st.fractions(

@@ -201,6 +201,13 @@ def test_zero_denominator_weight_model(capsys, model):
     assert err.splitlines() == [f"hurwitz: error: bad weight model {model!r}: zero denominator"]
 
 
+@pytest.mark.parametrize("text", ["3", "a:b", "1:2:3", ":", "5:3"])
+def test_bad_d_range(capsys, text):
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d-range", text)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"hurwitz: error: bad d range {text!r}; expected lo:hi"]
+
+
 def test_bad_partition_string(capsys):
     code, _, err = run_cli(capsys, "compute", "--mu", "1,2", "--d", "1")
     assert code == 1

@@ -1,12 +1,16 @@
 """Rho grid, closed forms, the direct expansion, and cumulant assembly."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from hurwitz.algebra import GPoly
 from hurwitz.correlator import (
+    _pair_terms,
     _rho_pair_coeff,
+    _rho_triple_coeff,
     connected_closed_form,
     connected_len1,
     connected_len2,
@@ -16,7 +20,7 @@ from hurwitz.correlator import (
     rho_coeff,
     wtilde_coeff,
 )
-from hurwitz.series import g_coeff
+from hurwitz.series import g_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
 g = GPoly.var
@@ -46,6 +50,36 @@ def test_rho_symmetry_and_homogeneity_grid():
                 coeff = rho_coeff(a, b, d)
                 assert coeff.is_homogeneous(d)
                 assert coeff == rho_coeff(b, a, d).scale((-1) ** (a + b + d))
+
+
+def _naive_convolution(left, right, d):
+    # [beta^d] of the product of two series given by their coefficients
+    acc = GPoly.zero()
+    for k in range(d + 1):
+        acc = acc + left(k) * right(d - k)
+    return acc
+
+
+def test_rho_pair_matches_naive_convolution():
+    indices = list(itertools.product(range(5), repeat=2))
+    for (a1, b1), (a2, b2) in itertools.product(indices, repeat=2):
+        for d in range(9):
+            want = _naive_convolution(lambda k: rho_coeff(a1, b1, k),
+                                      lambda k: rho_coeff(a2, b2, k), d)
+            assert _rho_pair_coeff(a1, b1, a2, b2, d) == want, (a1, b1, a2, b2, d)
+
+
+def test_rho_triple_matches_naive_convolution():
+    rng = random.Random(9)
+    for _ in range(120):
+        a1, b1, a2, b2, a3, b3 = (rng.randint(0, 4) for _ in range(6))
+        for d in range(9):
+            want = _naive_convolution(
+                lambda k: _naive_convolution(lambda j: rho_coeff(a1, b1, j),
+                                             lambda j: rho_coeff(a2, b2, j), k),
+                lambda k: rho_coeff(a3, b3, k), d)
+            assert _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d) == want, \
+                (a1, b1, a2, b2, a3, b3, d)
 
 
 def test_connected_len1():
@@ -114,7 +148,7 @@ def test_sweep_orders_agree_with_tau_in_any_question_order():
     # the orders the sweep benchmark reaches, asked high-to-low on cold
     # coefficient caches and then low-to-high: cached lower coefficients
     # must be the same whichever order filled them
-    for cache in (g_coeff, rho_coeff, _rho_pair_coeff):
+    for cache in (g_terms, rho_coeff, _pair_terms):
         cache.cache_clear()
     orders = list(range(12, 7, -1)) + list(range(8, 13))
     for mu in [(9,), (4, 4), (5, 1, 1)]:

@@ -159,3 +159,38 @@ def test_result_json_round_trip():
 
     numeric = HurwitzResult((2,), 1, False, "oracle", Fraction(3, 4), "quantum:q=1/3")
     assert HurwitzResult.from_json(numeric.to_json()) == numeric
+    # generic values pass the homogeneity check, zero values included
+    for mu in [(1,), (2, 1), (3, 2, 1), (2, 2, 1, 1)]:
+        for d in range(9):
+            for connected, fn in ((False, hurwitz_any), (True, connected_any)):
+                res = HurwitzResult(mu, d, connected, "tau", fn(mu, d))
+                assert HurwitzResult.from_json(res.to_json()) == res
+
+
+def _result(d, value):
+    return {"mu": "2,1", "d": d, "connected": True, "pipeline": "tau",
+            "model": "generic", "value": value}
+
+
+@pytest.mark.parametrize("value", [
+    [{"exp": {"1": 1, "2": 1}, "num": "1", "den": "1"},
+     {"exp": {"2": 1}, "num": "1", "den": "1"}],      # one term of degree 2
+    [{"exp": {"4": 1}, "num": "1", "den": "1"}],       # degree 4
+    [{"exp": {}, "num": "1", "den": "1"}],             # a constant
+    [{"exp": {"2000000": 1}, "num": "1", "den": "1"}],
+    [{"exp": {"2000000": 1, "1": -1999997}, "num": "1", "den": "1"}],
+])
+def test_result_json_rejects_inhomogeneous_values(value):
+    with pytest.raises(ValueError):
+        HurwitzResult.from_json(_result(3, value))
+
+
+def test_result_json_rejects_a_far_index_before_building_it():
+    # an exponent tuple as long as the index would take 16 MB here
+    import tracemalloc
+    tracemalloc.start()
+    with pytest.raises(ValueError):
+        HurwitzResult.from_json(_result(3, [{"exp": {"2000000": 1}, "num": "1", "den": "1"}]))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1_000_000
