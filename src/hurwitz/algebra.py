@@ -180,6 +180,8 @@ class GPoly:
         return self.scale(other)
 
     def scale(self, s: RationalLike) -> GPoly:
+        if s == 1:
+            return self
         s = Fraction(s)
         if not s:
             return _ZERO

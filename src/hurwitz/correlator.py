@@ -23,7 +23,9 @@ Three consumers:
   n-point functions directly from single-n-cycle products of pair kernels,
   eliminating the 1/(x_i - x_j) poles exactly with telescoping
   divided-difference identities (any residual pole is a hard error);
-* cumulant assembly of nonconnected from connected values.
+* nonconnected values from the connected closed forms by the forward
+  exponential formula, `partitions.nonconnected_from_connected`, the same
+  sum that `verify` uses to recombine tau's connected values.
 
 Conventions fixed against the other pipelines (see tests): the length-2
 linear cycle sum runs over rho^d_{mu1+mu2-b-1, b}; the length-3 quadratic
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import GPoly
-from .partitions import Partition, as_partition, aut_of
+from .partitions import Partition, as_partition, aut_of, nonconnected_from_connected
 from .series import Terms, add_product, g_terms
 
 
@@ -156,40 +158,14 @@ def connected_closed_form(mu: Partition, d: int) -> GPoly:
     raise ValueError("closed forms cover marked profiles of length 1..3 only")
 
 
-# -- nonconnected assembly (cumulants, length <= 3) ----------------------
+# -- nonconnected assembly (exponential formula, length <= 3) ------------
 
 def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
     """Nonconnected value from the connected closed forms for length(mu) <= 3."""
     mu = as_partition(mu)
-    n = len(mu)
-
-    def single(m: int, k: int) -> GPoly:
-        return connected_closed_form((m,), k)
-
-    if n == 1:
-        return connected_closed_form(mu, d)
-    if n == 2:
-        mu1, mu2 = mu
-        acc = connected_closed_form(mu, d)
-        cross = GPoly.zero()
-        for k in range(d + 1):
-            cross = cross + single(mu1, k) * single(mu2, d - k)
-        return acc + cross / aut_of(mu)
-    if n == 3:
-        mu1, mu2, mu3 = mu
-
-        def pair(a: int, b: int, k: int) -> GPoly:
-            return nonconnected_assemble(as_partition((a, b)), k)
-
-        acc = GPoly.zero()
-        for k in range(d + 1):
-            acc = acc + single(mu1, k) * pair(mu2, mu3, d - k).scale(aut_of((mu2, mu3)))
-            acc = acc + single(mu2, k) * pair(mu1, mu3, d - k).scale(aut_of((mu1, mu3)))
-            acc = acc + single(mu3, k) * pair(mu1, mu2, d - k).scale(aut_of((mu1, mu2)))
-            for j in range(d - k + 1):
-                acc = acc - (single(mu1, j) * single(mu2, k) * single(mu3, d - j - k)).scale(2)
-        return connected_closed_form(mu, d) + acc / aut_of(mu)
-    raise ValueError("closed-form assembly covers length <= 3 only")
+    if not 1 <= len(mu) <= 3:
+        raise ValueError("closed-form assembly covers length 1..3 only")
+    return nonconnected_from_connected(mu, d, connected_closed_form)
 
 
 # -- direct expansion of the connected n-point functions -----------------

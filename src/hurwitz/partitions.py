@@ -5,7 +5,8 @@ empty tuple is the empty partition.  Characters chi_lambda(mu) are computed
 by the Murnaghan-Nakayama recursion in its beta-set form (first-column hook
 lengths), memoized in a module-level cache.  Cache insertion is idempotent
 and each entry is an int, so concurrent readers always observe consistent
-values.
+values.  `nonconnected_from_connected` is the exponential formula that the
+correlator and `verify` share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+from .algebra import GPoly
 
 Partition = tuple[int, ...]
 
@@ -91,9 +94,10 @@ def z_of(mu: Iterable[int]) -> int:
 
 def aut_of(parts: Iterable[int]) -> int:
     """prod over part values of (multiplicity)!; compositions are sorted first."""
+    parts = tuple(parts)
     a = 1
-    for m in Counter(parts).values():
-        a *= math.factorial(m)
+    for v in set(parts):
+        a *= math.factorial(parts.count(v))
     return a
 
 
@@ -264,3 +268,27 @@ def compositions_of(d: int, k: int):
     for first in range(d + 1):
         for rest in compositions_of(d - first, k - 1):
             yield (first,) + rest
+
+
+def nonconnected_from_connected(mu: Partition, d: int,
+                                connected: Callable[[Partition, int], GPoly]) -> GPoly:
+    """The exponential formula (Stanley, EC2 5.1): |aut mu| H(mu, d) is the
+    sum, over set partitions of mu's labels and splits of d among the blocks
+    B, of prod_B |aut B| connected(B, d_B); each factor is computed once."""
+    mu = as_partition(mu)
+    factors: dict[tuple[Partition, int], GPoly] = {}
+    total = GPoly.zero()
+    for blocks in set_partitions(range(len(mu))):
+        parts = [as_partition(mu[i] for i in block) for block in blocks]
+        for ds in compositions_of(d, len(parts)):
+            term = None     # stays None only for the empty product of mu = ()
+            for part, k in zip(parts, ds):
+                factor = factors.get((part, k))
+                if factor is None:
+                    factor = factors[part, k] = connected(part, k).scale(aut_of(part))
+                if not factor:
+                    break
+                term = factor if term is None else term * factor
+            else:
+                total = total + (term or GPoly.one())
+    return total.scale(Fraction(1, aut_of(mu)))

@@ -326,6 +326,8 @@ class QRat:
         and must come back unchanged, which rejects a zero, non-monic or
         non-cyclotomic denominator and a pair with a common factor.
         """
+        if not (isinstance(data["num"], list) and isinstance(data["den"], list)):
+            raise ValueError(f"num and den must be coefficient lists: {data!r}")
         v = QRat(QPoly([Fraction(s) for s in data["num"]]),
                  QPoly([Fraction(s) for s in data["den"]]))
         # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least

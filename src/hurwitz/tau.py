@@ -194,21 +194,26 @@ class HurwitzResult:
 
     @staticmethod
     def from_json(data: dict) -> "HurwitzResult":
+        """Inverse of `to_json`; ValueError for any malformed input.  `d` is
+        a JSON integer, `connected` a boolean, and the value has the kind of
+        its model: a term list (generic), a {"num", "den"} object (symbolic
+        q) or a rational string (every numeric model)."""
         from .partitions import parse_partition
         from .qrational import QRat
+        from .weights import parse_model
 
-        raw, d = data["value"], int(data["d"])
-        if isinstance(raw, str):
-            value: Any = Fraction(raw)
-        elif isinstance(raw, dict):
-            value = QRat.from_json(raw)
-        else:   # a generic value is homogeneous of weighted degree d
-            value = GPoly.from_json(raw, degree=d)
-        return HurwitzResult(
-            mu=parse_partition(data["mu"]),
-            d=d,
-            connected=bool(data["connected"]),
-            pipeline=data["pipeline"],
-            model=data.get("model", "generic"),
-            value=value,
-        )
+        try:
+            raw, d, model = data["value"], data["d"], data.get("model", "generic")
+            weights = parse_model(model)
+            kind = list if weights.kind == "generic" else dict if weights.symbolic_q else str
+            if (type(d) is not int or type(data["connected"]) is not bool
+                    or not isinstance(data["pipeline"], str) or not isinstance(raw, kind)):
+                raise ValueError(f"bad field types, or a {type(raw).__name__} "
+                                 f"value under the model {model!r}")
+            # a generic value is homogeneous of weighted degree d
+            value = (GPoly.from_json(raw, degree=d) if kind is list else
+                     QRat.from_json(raw) if kind is dict else Fraction(raw))
+            return HurwitzResult(parse_partition(data["mu"]), d, data["connected"],
+                                 data["pipeline"], value, model)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed result: {exc!r}") from None

@@ -26,14 +26,7 @@ from .oracle import (
     pure_hurwitz_enum,
     weighted_from_definition,
 )
-from .partitions import (
-    aut_of,
-    as_partition,
-    colength,
-    compositions_of,
-    partitions_of,
-    set_partitions,
-)
+from .partitions import aut_of, colength, nonconnected_from_connected, partitions_of
 from .tables import A1_PRINTED, A2_PRINTED, A3_PRINTED, KNOWN_ERRATA, compare_tables
 from .tau import connected_any, hurwitz_any
 from .weights import WeightModel, specialize
@@ -152,8 +145,9 @@ def check_quantum_tables() -> CheckResult:
 
 
 def check_consensus(max_weight: int = 6, max_d: int = 7) -> CheckResult:
-    """Criterion 5: three-route agreement for lengths <= 3; cumulant
-    recombination for lengths 4 and 5."""
+    """Criterion 5: three-route agreement for lengths <= 3; for lengths 4
+    and 5, tau's nonconnected values against its connected ones recombined
+    by `partitions.nonconnected_from_connected`."""
     t0 = time.perf_counter()
     failures: list[str] = []
     for mu in _profiles(max_weight, (1, 2, 3)):
@@ -171,23 +165,8 @@ def check_consensus(max_weight: int = 6, max_d: int = 7) -> CheckResult:
     # compare with the nonconnected pipeline value (forward direction,
     # independent of the Moebius inversion that defines connected_any)
     for mu in _profiles(max_weight, (4, 5)):
-        n = len(mu)
         for d in range(max_d + 1):
-            want = hurwitz_any(mu, d).scale(aut_of(mu))
-            got = GPoly.zero()
-            for blocks in set_partitions(range(n)):
-                parts = [as_partition(mu[i] for i in block) for block in blocks]
-                for ds in compositions_of(d, len(blocks)):
-                    term = GPoly.one()
-                    for p, db in zip(parts, ds):
-                        factor = connected_any(p, db)
-                        if not factor:
-                            term = GPoly.zero()
-                            break
-                        term = term * factor.scale(aut_of(p))
-                    if term:
-                        got = got + term
-            if want != got:
+            if hurwitz_any(mu, d) != nonconnected_from_connected(mu, d, connected_any):
                 failures.append(f"cumulant identity fails at mu={mu} d={d}")
     return _timed("5 triple-pipeline consensus + cumulant identity", failures, "", t0)
 

@@ -1,5 +1,6 @@
-"""The top-level package exports exactly its documented public API, and the
-three pipelines import none of each other's modules."""
+"""The top-level package exports exactly its documented public API, the
+three pipelines import none of each other's modules, and the shared modules
+import no pipeline."""
 
 import ast
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import hurwitz
 
 PIPELINES = ("tau", "correlator", "oracle")
+SHARED = ("algebra", "series", "partitions", "qrational", "weights")
 
 
 def test_all_names_resolve():
@@ -71,3 +73,8 @@ def test_pipelines_are_independent():
         assert ("series" in names) == (module == "correlator"), (module, names)
     # the published tables read every pipeline, so no pipeline reads them
     assert all(name != "tables" for found in imports.values() for name, _ in found)
+    # every pipeline reads the shared modules, so they read no pipeline and
+    # nothing built on the pipelines
+    for module in SHARED:
+        names = {name for name, _ in _imports(module)}
+        assert not names & {*PIPELINES, "tables", "verify", "cli"}, (module, names)

@@ -20,6 +20,7 @@ from hurwitz.correlator import (
     rho_coeff,
     wtilde_coeff,
 )
+from hurwitz.partitions import nonconnected_from_connected, partitions_of
 from hurwitz.series import g_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
@@ -111,12 +112,23 @@ def test_nonconnected_assemble():
     assert nonconnected_assemble((2,), 3) == connected_len1(2, 3)
     # two equal parts at low order: only the split contributes
     assert nonconnected_assemble((2, 2), 2) == (g(1) ** 2).scale(Fraction(1, 8))
+    # the closed forms cover lengths 1..3 only; the shared sum itself gives
+    # the empty profile its empty product
+    for mu in [(), (1, 1, 1, 1)]:
+        with pytest.raises(ValueError):
+            nonconnected_assemble(mu, 3)
+    assert nonconnected_from_connected((), 0, connected_closed_form) == GPoly.one()
+    assert nonconnected_from_connected((), 2, connected_closed_form).is_zero()
 
 
 def test_nonconnected_matches_character_pipeline():
-    for mu in [(2,), (3,), (2, 1), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]:
-        for d in range(7):
-            assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d)
+    # every profile of length <= 3 and weight <= 7, equal-part blocks such
+    # as (3, 3, 1) and (2, 2, 2) included
+    for n in range(1, 8):
+        for mu in partitions_of(n):
+            if len(mu) <= 3:
+                for d in range(11):
+                    assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d), (mu, d)
 
 
 def test_wtilde_n1_matches_len1():

@@ -185,6 +185,39 @@ def test_result_json_rejects_inhomogeneous_values(value):
         HurwitzResult.from_json(_result(3, value))
 
 
+_G3 = [{"exp": {"3": 1}, "num": "1", "den": "1"}]
+_Q = {"num": ["1"], "den": ["1"]}
+
+
+@pytest.mark.parametrize("changes", [
+    {"value": [{"exp": [1], "num": "1", "den": "1"}]},
+    {"value": [{"exp": {"3": 1}, "num": "1"}]},           # a term without "den"
+    {"value": None},                                      # no "value" at all
+    {"value": 5},
+    {"value": _Q},                                        # kinds that do not fit
+    {"value": "1/2"},
+    {"model": "exp"},
+    {"model": "exp", "value": _Q},
+    {"model": "exp", "value": "1/0"},
+    {"model": "quantum:q=1/3", "value": _Q},
+    {"model": "quantum"},
+    {"model": "quantum", "value": "1/2"},
+    {"model": "quantum", "value": {"num": "11", "den": ["1"]}},
+    {"model": "quantum", "value": {"num": ["1"]}},
+    {"model": "bogus"},
+    {"connected": "false"},
+    {"connected": 1},
+    {"d": "3"},
+    {"mu": [2, 1]},
+    {"pipeline": None},
+])
+def test_result_json_rejects_malformed_shapes(changes):
+    data = {**_result(3, _G3), **changes}
+    data = {k: v for k, v in data.items() if v is not None}
+    with pytest.raises(ValueError):
+        HurwitzResult.from_json(data)
+
+
 def test_result_json_rejects_a_far_index_before_building_it():
     # an exponent tuple as long as the index would take 16 MB here
     import tracemalloc
