@@ -17,10 +17,12 @@ share between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
+_INTEGER = re.compile(r"-?[0-9]+")      # what to_json writes for num and den
 
 RationalLike = int | Fraction
 
@@ -32,7 +34,7 @@ def _strip(exp: Iterable[int]) -> Exponent:
     return e
 
 
-def mono_mul(a: Exponent, b: Exponent) -> Exponent:
+def _mono_mul(a: Exponent, b: Exponent) -> Exponent:
     """Exponent tuple of the product of two monomials."""
     if len(a) < len(b):
         a, b = b, a
@@ -88,13 +90,10 @@ class GPoly:
         return GPoly({(0,) * (i - 1) + (1,): Fraction(coef)})
 
     @staticmethod
-    def from_int_terms(terms: Mapping[Exponent, int], scale: RationalLike = 1) -> GPoly:
-        """scale * sum c * g^e over an integer term map whose keys are
-        already stripped; zero coefficients are dropped."""
-        s = Fraction(scale)
-        if not s:
-            return _ZERO
-        return _wrap({e: s * c for e, c in terms.items() if c})
+    def from_int_terms(terms: Mapping[Exponent, int], den: int = 1) -> GPoly:
+        """sum c/den * g^e over an integer term map whose keys are already
+        stripped; zero coefficients are dropped."""
+        return _wrap({e: Fraction(c, den) for e, c in terms.items() if c})
 
     # -- inspection ---------------------------------------------------
 
@@ -168,7 +167,7 @@ class GPoly:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = mono_mul(e1, e2)
+                e = _mono_mul(e1, e2)
                 s = out.get(e, _F0) + c1 * c2
                 if s:
                     out[e] = s
@@ -252,21 +251,22 @@ class GPoly:
     def from_json(data: list[dict], degree: int | None = None) -> GPoly:
         """Inverse of `to_json`.
 
-        Raises ValueError for a variable index or a power below 1, a
-        repeated monomial, a zero denominator and, when `degree` is given, a
-        term of another weighted degree.  Every check reads the sparse
-        {index: power} maps, so no exponent tuple is built for a term that
-        fails one.
+        Raises ValueError for an index or a power below 1, a power that is
+        not a JSON integer, a `num` or `den` that is not a decimal-integer
+        string, a repeated monomial, a zero denominator and, when `degree`
+        is given, a term of another weighted degree.  Every check reads the
+        sparse {index: power} maps, so no exponent tuple is built for a
+        term that fails one.
         """
         sparse: list[tuple[dict[int, int], Fraction]] = []
         seen: set[frozenset] = set()
         for item in data:
             idx: dict[int, int] = {}
             for i, k in item["exp"].items():
-                i, k = int(i), int(k)
-                if i < 1 or k < 1 or i in idx:
+                i = int(i)
+                if type(k) is not int or i < 1 or k < 1 or i in idx:
                     raise ValueError(f"bad monomial {item['exp']!r}: each index "
-                                     "and power must be >= 1, indices distinct")
+                                     "and integer power must be >= 1, indices distinct")
                 idx[i] = k
             key = frozenset(idx.items())
             if key in seen:
@@ -275,10 +275,12 @@ class GPoly:
             if degree is not None and sum(i * k for i, k in idx.items()) != degree:
                 raise ValueError(f"monomial {item['exp']!r} is not of weighted "
                                  f"degree {degree}")
-            den = int(item["den"])
-            if not den:
+            num, den = item["num"], item["den"]
+            if not all(isinstance(x, str) and _INTEGER.fullmatch(x) for x in (num, den)):
+                raise ValueError(f"num and den must be decimal-integer strings: {item!r}")
+            if not int(den):
                 raise ValueError(f"zero denominator in the term of {item['exp']!r}")
-            sparse.append((idx, Fraction(int(item["num"]), den)))
+            sparse.append((idx, Fraction(int(num), int(den))))
         return GPoly({tuple(idx.get(i, 0) for i in range(1, max(idx, default=0) + 1)): c
                       for idx, c in sparse})
 

@@ -8,12 +8,12 @@ whose beta^d coefficient rho^d_{ab} is a homogeneous GPoly of weighted
 degree d.  The scalar denominator divides the whole product once (reading
 it inside the product symbol does not reproduce the small-index reference
 values).  The coefficients satisfy rho^d_{ab} = (-1)^{a+b+d} rho^d_{ba}.
-Only single coefficients are ever read, so they are computed and cached
-per index d, never as truncated series: asking for a higher d reuses every
-lower coefficient already held.  The bracketed product has integer
-coefficients (`series.g_terms`), so pair and triple products of rho
-coefficients are convolved as integer term maps and scaled once, by the
-product of their scalar prefactors.
+Every sum here is a cycle sum of products of rho coefficients whose sizes
+a_i + b_i + 1 add up to N = |mu|.  A bracket depends on its multipliers
+only through their power sums s_k(a, b) = sum_{i=-b}^{a} i^k, which add
+under products (`series`), and each term's scalar is an integer over N!,
+so a cycle sum is one integer vector over rho |- d, converted to g once
+(`_cycle_sum`); `rho_coeff` is the one-term case.
 
 Three consumers:
 
@@ -36,57 +36,53 @@ parts.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .algebra import GPoly
 from .partitions import Partition, as_partition, aut_of, nonconnected_from_connected
-from .series import Terms, add_product, g_terms
+from .series import power_products, rhos, to_gpoly
+
+# A term (c, ((a_1, b_1), ...)) of a cycle sum stands for c * prod_i rho_{a_i b_i}.
+Term = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def _rho_scale(a: int, b: int) -> Fraction:
-    if a < 0 or b < 0:
-        raise ValueError("rho indices must be >= 0")
-    return Fraction((-1) ** b, math.factorial(a) * math.factorial(b) * (a + b + 1))
+@lru_cache(maxsize=None)
+def _factor(a: int, b: int, d: int) -> tuple[int, tuple[int, ...], list[int]]:
+    """rho_ab's scalar as 1/den, den = (-1)^b a! b! (a+b+1); the power sums
+    s_k = sum_{i=-b}^{a} i^k of its multipliers, k = 1..d; and their
+    products p_rho(s) over rho |- d."""
+    den = (-1) ** b * math.factorial(a) * math.factorial(b) * (a + b + 1)
+    s = tuple(sum(i ** k for i in range(-b, a + 1)) for k in range(1, d + 1))
+    return den, s, power_products(s, d)
 
 
-def _rho_terms(a: int, b: int, d: int) -> Terms:
-    """[beta^d] prod_{i=-b}^{a} G(i beta) as an integer term map (G(0) = 1)."""
-    return g_terms(tuple(i for i in range(-b, a + 1) if i), d)
+def _cycle_sum(N: int, d: int, terms: Iterable[Term], den: int = 1) -> GPoly:
+    """[beta^d] sum over terms of c * prod_i rho_{a_i b_i}, divided by den.
+
+    The sizes n_i = a_i + b_i + 1 of every term add up to N, so each term's
+    scalar c / prod_i den_i (see `_factor`) is an integer over N! (N! /
+    prod_i n_i! and each C(a_i + b_i, a_i) are integers), and its weight
+    factors have the summed power sums of its factors: the whole sum is one
+    integer vector over rho |- d, converted to g once.
+    """
+    fact = math.factorial(N)
+    acc = [0] * len(rhos(d))
+    for c, factors in terms:
+        parts = [_factor(a, b, d) for a, b in factors]
+        w = c * fact // math.prod(den_i for den_i, _, _ in parts)
+        products = parts[0][2] if len(parts) == 1 else power_products(
+            [sum(s) for s in zip(*(s for _, s, _ in parts))], d)
+        acc = [x + w * y for x, y in zip(acc, products)]
+    return to_gpoly(acc, d, den * fact)
 
 
 @lru_cache(maxsize=None)
 def rho_coeff(a: int, b: int, d: int) -> GPoly:
-    """rho^d_{ab} as a GPoly."""
-    return GPoly.from_int_terms(_rho_terms(a, b, d), _rho_scale(a, b))
-
-
-@lru_cache(maxsize=None)
-def _pair_terms(r1: tuple[int, int], r2: tuple[int, int], d: int) -> Terms:
-    """The integer product map under [beta^d] rho_{r1} rho_{r2}, r = (a, b);
-    callers pass r1 <= r2, since the product is symmetric."""
-    out: dict = {}
-    for k in range(d + 1):
-        add_product(out, _rho_terms(*r1, k), _rho_terms(*r2, d - k))
-    return {e: c for e, c in out.items() if c}
-
-
-def _rho_pair_coeff(a1: int, b1: int, a2: int, b2: int, d: int) -> GPoly:
-    """[beta^d] rho_{a1 b1} rho_{a2 b2}."""
-    r1, r2 = sorted(((a1, b1), (a2, b2)))
-    return GPoly.from_int_terms(_pair_terms(r1, r2, d),
-                                _rho_scale(a1, b1) * _rho_scale(a2, b2))
-
-
-def _rho_triple_coeff(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int,
-                      d: int) -> GPoly:
-    """[beta^d] rho_{a1 b1} rho_{a2 b2} rho_{a3 b3}."""
-    r1, r2 = sorted(((a1, b1), (a2, b2)))
-    out: dict = {}
-    for k in range(d + 1):
-        add_product(out, _pair_terms(r1, r2, k), _rho_terms(a3, b3, d - k))
-    return GPoly.from_int_terms(
-        out, _rho_scale(a1, b1) * _rho_scale(a2, b2) * _rho_scale(a3, b3))
+    """rho^d_{ab} as a GPoly: the one-term cycle sum."""
+    if a < 0 or b < 0:
+        raise ValueError("rho indices must be >= 0")
+    return _cycle_sum(a + b + 1, d, ((1, ((a, b),)),))
 
 
 # -- closed forms for length(mu) <= 3 ------------------------------------
@@ -96,10 +92,8 @@ def connected_len1(mu1: int, d: int) -> GPoly:
     """Connected value for a single marked part: (1/mu1) sum_a rho^d_{a, mu1-a-1}."""
     if mu1 < 1:
         raise ValueError("part must be >= 1")
-    acc = GPoly.zero()
-    for a in range(mu1):
-        acc = acc + rho_coeff(a, mu1 - 1 - a, d)
-    return acc / mu1
+    terms = ((1, ((a, mu1 - 1 - a),)) for a in range(mu1))
+    return _cycle_sum(mu1, d, terms, mu1)
 
 
 def connected_len2(mu1: int, mu2: int, d: int) -> GPoly:
@@ -108,14 +102,12 @@ def connected_len2(mu1: int, mu2: int, d: int) -> GPoly:
     if mu1 < 1 or mu2 < 1:
         raise ValueError("parts must be >= 1")
     parity = 1 + (-1) ** (d + mu1 + mu2)
-    acc = GPoly.zero()
+    terms: list[Term] = []
     if parity:
-        for b in range(mu2):
-            acc = acc + rho_coeff(mu1 + mu2 - b - 1, b, d).scale(parity)
-    for a in range(mu1):
-        for b in range(mu2):
-            acc = acc - _rho_pair_coeff(a, mu2 - b - 1, b, mu1 - a - 1, d)
-    return acc / (mu1 * mu2 * aut_of((mu1, mu2)))
+        terms += [(parity, ((mu1 + mu2 - b - 1, b),)) for b in range(mu2)]
+    terms += [(-1, ((a, mu2 - b - 1), (b, mu1 - a - 1)))
+              for a in range(mu1) for b in range(mu2)]
+    return _cycle_sum(mu1 + mu2, d, terms, mu1 * mu2 * aut_of((mu1, mu2)))
 
 
 def connected_len3(mu1: int, mu2: int, mu3: int, d: int) -> GPoly:
@@ -123,27 +115,22 @@ def connected_len3(mu1: int, mu2: int, mu3: int, d: int) -> GPoly:
     cycle sums, all gated by the odd-parity factor 1 - (-1)^(d+|mu|)."""
     if min(mu1, mu2, mu3) < 1:
         raise ValueError("parts must be >= 1")
-    parity = 1 - (-1) ** (d + mu1 + mu2 + mu3)
-    if not parity:
+    if (d + mu1 + mu2 + mu3) % 2 == 0:
         return GPoly.zero()
-    acc = GPoly.zero()
-    # linear part
+    terms: list[Term] = []
+    # linear part; every term carries the parity factor 2
     for b in range(mu2):
-        acc = acc + rho_coeff(mu2 - b - 1, mu1 + mu3 + b, d)
-        acc = acc - rho_coeff(mu1 + mu2 - b - 1, mu3 + b, d)
+        terms.append((2, ((mu2 - b - 1, mu1 + mu3 + b),)))
+        terms.append((-2, ((mu1 + mu2 - b - 1, mu3 + b),)))
     # quadratic part over the three pair splittings; the pair-sum upper
     # limit is min of the paired parts (symmetric in them)
     for m1, m2, m3 in ((mu1, mu2, mu3), (mu1, mu3, mu2), (mu3, mu2, mu1)):
-        for a in range(min(m1, m2)):
-            for c in range(m3):
-                acc = acc + _rho_pair_coeff(c, m1 + m2 - a - 1, a, m3 - c - 1, d)
+        terms += [(2, ((c, m1 + m2 - a - 1), (a, m3 - c - 1)))
+                  for a in range(min(m1, m2)) for c in range(m3)]
     # cubic part
-    for a in range(mu1):
-        for b in range(mu2):
-            for c in range(mu3):
-                acc = acc + _rho_triple_coeff(a, mu2 - b - 1, b, mu3 - c - 1,
-                                              c, mu1 - a - 1, d)
-    return acc.scale(Fraction(parity, mu1 * mu2 * mu3 * aut_of((mu1, mu2, mu3))))
+    terms += [(2, ((a, mu2 - b - 1), (b, mu3 - c - 1), (c, mu1 - a - 1)))
+              for a in range(mu1) for b in range(mu2) for c in range(mu3)]
+    return _cycle_sum(mu1 + mu2 + mu3, d, terms, mu1 * mu2 * mu3 * aut_of((mu1, mu2, mu3)))
 
 
 def connected_closed_form(mu: Partition, d: int) -> GPoly:
@@ -185,15 +172,12 @@ def _telescope(u: int, v: int):
     return tuple(((t, u + v - 1 - t), -1) for t in range(u, v))
 
 
-def _w1(p: int, d: int) -> GPoly:
-    acc = GPoly.zero()
+def _w1(p: int) -> Iterable[Term]:
     for a in range(p + 1):
-        acc = acc + rho_coeff(a, p - a, d)
-    return acc
+        yield 1, ((a, p - a),)
 
 
-def _w2(p: int, q: int, d: int) -> GPoly:
-    acc = GPoly.zero()
+def _w2(p: int, q: int) -> Iterable[Term]:
     # divided difference of the antisymmetrized kernel
     for a in range(p + q + 2):
         b = p + q + 1 - a
@@ -201,16 +185,14 @@ def _w2(p: int, q: int, d: int) -> GPoly:
             continue
         for (i, j), sign in _telescope(a, b):
             if i == p and j == q:
-                acc = acc + rho_coeff(a, b, d).scale(sign)
+                yield sign, ((a, b),)
     # minus the product of the two kernels
     for a in range(p + 1):
         for b in range(q + 1):
-            acc = acc + _rho_pair_coeff(a, q - b, b, p - a, d).scale(-1)
-    return acc
+            yield -1, ((a, q - b), (b, p - a))
 
 
-def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
-    acc = GPoly.zero()
+def _w3(p1: int, p2: int, p3: int) -> Iterable[Term]:
     # single-kernel bracket: double divided differences
     for a in range(p1 + p2 + p3 + 3):
         for b in range(p1 + p2 + p3 + 3 - a):
@@ -224,7 +206,7 @@ def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
                     if i == p2 and j == p3:
                         sign_total += sign
             if sign_total:
-                acc = acc + rho_coeff(a, b, d).scale(sign_total)
+                yield sign_total, ((a, b),)
     # two-kernel brackets, one divided difference each
     for bexp in range(p3 + 1):
         aexp = p3 - bexp
@@ -234,7 +216,7 @@ def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
                 continue
             for (i, j), sign in _telescope(a, bp):
                 if i == p1 and j == p2:
-                    acc = acc + _rho_pair_coeff(a, bexp, aexp, bp, d).scale(-sign)
+                    yield -sign, ((a, bexp), (aexp, bp))
     for a in range(p1 + 1):
         bp = p1 - a
         for b in range(p2 + p3 + 2):
@@ -243,7 +225,7 @@ def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
                 continue
             for (i, j), sign in _telescope(b, ap):
                 if i == p2 and j == p3:
-                    acc = acc + _rho_pair_coeff(a, b, ap, bp, d).scale(sign)
+                    yield sign, ((a, b), (ap, bp))
     for b in range(p2 + 1):
         ap = p2 - b
         for a in range(p1 + p3 + 2):
@@ -252,7 +234,7 @@ def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
                 continue
             for (i, j), sign in _telescope(a, bp):
                 if i == p1 and j == p3:
-                    acc = acc + _rho_pair_coeff(a, b, ap, bp, d).scale(-sign)
+                    yield -sign, ((a, b), (ap, bp))
     # three-kernel bracket: both cyclic orders, plain convolution
     for a1 in range(p1 + 1):
         b3 = p1 - a1
@@ -260,15 +242,14 @@ def _w3(p1: int, p2: int, p3: int, d: int) -> GPoly:
             a2 = p2 - b1
             for b2 in range(p3 + 1):
                 a3 = p3 - b2
-                acc = acc + _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d)
+                yield 1, ((a1, b1), (a2, b2), (a3, b3))
     for a1 in range(p1 + 1):
         b3 = p1 - a1
         for b2 in range(p2 + 1):
             a3 = p2 - b2
             for b1 in range(p3 + 1):
                 a2 = p3 - b1
-                acc = acc + _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d)
-    return acc
+                yield 1, ((a1, b1), (a2, b2), (a3, b3))
 
 
 def wtilde_coeff(n: int, exponents: tuple[int, ...], d: int) -> GPoly:
@@ -280,7 +261,8 @@ def wtilde_coeff(n: int, exponents: tuple[int, ...], d: int) -> GPoly:
     if any(e < 0 for e in exponents):
         raise RuntimeError("internal error: residual pole (negative exponent)")
     kernel = {1: _w1, 2: _w2, 3: _w3}[n]
-    return kernel(*exponents, d)
+    # every term of the n-point coefficient has total size sum(exponents) + n
+    return _cycle_sum(sum(exponents) + n, d, kernel(*exponents))
 
 
 def connected_via_wtilde(mu: Partition, d: int) -> GPoly:

@@ -323,9 +323,10 @@ def weighted_from_definition(mu: Partition, d: int, model: WeightModel,
         raise CapExceeded(f"d capped at {DEF_DEGREE_CAP} for definitional sums")
 
     total = Fraction(0)
+    # the weight depends on a tuple only through its colength multiset
+    weight = lru_cache(maxsize=None)(lambda lam: tuple_weight(lam, model))
     for tup in _profile_tuples(N, d):
-        lam = as_partition(colength(p) for p in tup)
-        w = tuple_weight(lam, model)
+        w = weight(as_partition(colength(p) for p in tup))
         if not w:
             continue
         if connected:

@@ -22,10 +22,13 @@ values; nothing here is ever evaluated in floating point.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RationalLike
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")     # what to_json writes
 
 
 class QPoly:
@@ -322,14 +325,16 @@ class QRat:
     def from_json(data: dict) -> QRat:
         """The value of a to_json dict; ValueError unless the pair is reduced.
 
-        The pair is rebuilt through `pochhammer_form` and `over_pochhammer`
+        Coefficients are "n" or "n/m" strings, as `to_json` writes them.  The
+        pair is rebuilt through `pochhammer_form` and `over_pochhammer`
         and must come back unchanged, which rejects a zero, non-monic or
         non-cyclotomic denominator and a pair with a common factor.
         """
-        if not (isinstance(data["num"], list) and isinstance(data["den"], list)):
-            raise ValueError(f"num and den must be coefficient lists: {data!r}")
-        v = QRat(QPoly([Fraction(s) for s in data["num"]]),
-                 QPoly([Fraction(s) for s in data["den"]]))
+        num, den = data["num"], data["den"]
+        if not (isinstance(num, list) and isinstance(den, list)
+                and all(isinstance(c, str) and _RATIONAL.fullmatch(c) for c in num + den)):
+            raise ValueError(f"num and den must be lists of rational strings: {data!r}")
+        v = QRat(QPoly([Fraction(c) for c in num]), QPoly([Fraction(c) for c in den]))
         # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least
         # index m = max(k * n_k) are both at most 2 * deg(den)^2
         form = v.pochhammer_form(2 * max(v.den.degree(), 1) ** 2)

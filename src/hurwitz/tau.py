@@ -7,10 +7,15 @@ is the coefficient extraction
               chi_lambda(mu) / (hook_product(lambda) * z_mu)
               * [beta^d] prod over boxes (i,j) of lambda of G((j - i) beta).
 
-The coefficient of g_nu in [beta^d] of the content product is the
-monomial symmetric function m_nu evaluated at the box contents, an integer
-(Guay-Paquet and Harnad, J. Math. Phys. 58 (2017)); `content_monomials`
-tabulates these integers and `hurwitz_any` weighs them by the characters.
+The content product depends on the diagram only through the power sums
+of its contents, [beta^d] prod G(c beta) = sum over rho |- d of
+b^rho p_rho(contents) / z_rho (see `series`); content power sums are the
+central characters of completed cycles (Okounkov and Pandharipande, Ann.
+Math. 163 (2006)), and the product is the eigenvalue of prod G(beta J_a)
+on Jucys-Murphy elements (Guay-Paquet and Harnad, J. Math. Phys. 58
+(2017)).  `content_powers` tabulates the integers p_rho(contents) per
+diagram, `hurwitz_any` weighs them by chi_lambda(mu) * N!/h_lambda in
+integers and converts the sum to the g once.
 
 Connected values follow from the exponential formula over the labeled
 profile entries, with the block holding the first label pinned (Stanley,
@@ -31,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from .algebra import GPoly
 from .partitions import (
@@ -47,6 +51,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
+from .series import power_products, rhos, to_gpoly
 
 WEIGHT_CAP = 10
 DEGREE_CAP = 12
@@ -62,35 +67,11 @@ def check_caps(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
 
 
 @lru_cache(maxsize=None)
-def content_monomials(lam: Partition, d: int) -> Mapping[Partition, int]:
-    """{nu |- d: m_nu(contents of lam)}, the nonzero integer coefficients of
-    [beta^d] prod over boxes of G(content * beta) in the basis g_nu.
-
-    Each box picks one factor g_k (content^k) or 1; boxes of content 0 only
-    ever pick 1.  The table maps partial picks, as sorted nu, to their sum.
-    """
-    table: dict[Partition, int] = {(): 1}
-    for c in contents(as_partition(lam)):
-        if not c:
-            continue
-        grown = dict(table)
-        for nu, m in table.items():
-            room = d - sum(nu)
-            power = m
-            for k in range(1, room + 1):
-                power *= c
-                key = as_partition(nu + (k,))
-                grown[key] = grown.get(key, 0) + power
-        table = grown
-    return MappingProxyType({nu: m for nu, m in table.items() if m and sum(nu) == d})
-
-
-def _exponent(nu: Partition) -> tuple[int, ...]:
-    """Exponent vector of g_nu = prod over parts k of g_k."""
-    exp = [0] * (nu[0] if nu else 0)
-    for k in nu:
-        exp[k - 1] += 1
-    return tuple(exp)
+def content_powers(lam: Partition, d: int) -> tuple[int, ...]:
+    """p_rho(contents of lam) for rho |- d, in `series.rhos(d)` order: the
+    power-sum coordinates of [beta^d] prod over boxes of G(content * beta)."""
+    cs = [c for c in contents(as_partition(lam)) if c]
+    return tuple(power_products([sum(c ** k for c in cs) for k in range(1, d + 1)], d))
 
 
 @lru_cache(maxsize=None)
@@ -105,16 +86,13 @@ def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
     # chi/hook = chi * f_lambda / N! with f_lambda = N!/hook an integer, so
     # the sum runs in integers over the common denominator N! * z_mu
     fact = math.factorial(N)
-    acc: Counter[Partition] = Counter()
+    acc = [0] * len(rhos(d))
     for lam in partitions_of(N):
         chi = character(lam, mu)
-        if not chi:
-            continue
-        weight = chi * (fact // hook_product(lam))
-        for nu, m in content_monomials(lam, d).items():
-            acc[nu] += weight * m
-    denom = fact * z_of(mu)
-    return GPoly({_exponent(nu): Fraction(total, denom) for nu, total in acc.items()})
+        if chi:
+            weight = chi * (fact // hook_product(lam))
+            acc = [a + weight * x for a, x in zip(acc, content_powers(lam, d))]
+    return to_gpoly(acc, d, fact * z_of(mu))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +173,8 @@ class HurwitzResult:
     @staticmethod
     def from_json(data: dict) -> "HurwitzResult":
         """Inverse of `to_json`; ValueError for any malformed input.  `d` is
-        a JSON integer, `connected` a boolean, and the value has the kind of
+        a JSON integer, `connected` a boolean, `pipeline` a pipeline's name
+        and the value has the kind of
         its model: a term list (generic), a {"num", "den"} object (symbolic
         q) or a rational string (every numeric model)."""
         from .partitions import parse_partition
@@ -207,7 +186,8 @@ class HurwitzResult:
             weights = parse_model(model)
             kind = list if weights.kind == "generic" else dict if weights.symbolic_q else str
             if (type(d) is not int or type(data["connected"]) is not bool
-                    or not isinstance(data["pipeline"], str) or not isinstance(raw, kind)):
+                    or data["pipeline"] not in ("correlator", "tau", "oracle")
+                    or not isinstance(raw, kind)):
                 raise ValueError(f"bad field types, or a {type(raw).__name__} "
                                  f"value under the model {model!r}")
             # a generic value is homogeneous of weighted degree d

@@ -98,6 +98,14 @@ def _term(exp, num="1", den="1"):
     [_term({"1": 1}), _term({"1": 1}, "2")],  # repeated monomial
     [_term({"1": 2, "2": 1}), _term({"2": 1, "1": 2})],
     [_term({"1": 1}, den="0")],               # zero denominator
+    [_term({"1": 1}, num=1.7, den=True)],     # JSON numbers and booleans
+    [_term({"1": 1}, num=1)],
+    [_term({"1": 1}, den=1)],
+    [_term({"1": 1}, num="1.5")],             # strings that are not integers
+    [_term({"1": 1}, num=" 1")],
+    [_term({"1": 1}, den="1_0")],
+    [_term({"1": True})],                     # a boolean power
+    [_term({"1": 1.0})],
 ])
 def test_from_json_rejects_malformed_terms(data):
     with pytest.raises(ValueError):

@@ -8,9 +8,8 @@ import pytest
 
 from hurwitz.algebra import GPoly
 from hurwitz.correlator import (
-    _pair_terms,
-    _rho_pair_coeff,
-    _rho_triple_coeff,
+    _cycle_sum,
+    _factor,
     connected_closed_form,
     connected_len1,
     connected_len2,
@@ -21,7 +20,7 @@ from hurwitz.correlator import (
     wtilde_coeff,
 )
 from hurwitz.partitions import nonconnected_from_connected, partitions_of
-from hurwitz.series import g_terms
+from hurwitz.series import b_power, b_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
 g = GPoly.var
@@ -61,13 +60,18 @@ def _naive_convolution(left, right, d):
     return acc
 
 
+def _product(*factors, d):
+    """[beta^d] prod_i rho_{a_i b_i} through the cycle-sum accumulator."""
+    return _cycle_sum(sum(a + b + 1 for a, b in factors), d, [(1, factors)])
+
+
 def test_rho_pair_matches_naive_convolution():
     indices = list(itertools.product(range(5), repeat=2))
     for (a1, b1), (a2, b2) in itertools.product(indices, repeat=2):
         for d in range(9):
             want = _naive_convolution(lambda k: rho_coeff(a1, b1, k),
                                       lambda k: rho_coeff(a2, b2, k), d)
-            assert _rho_pair_coeff(a1, b1, a2, b2, d) == want, (a1, b1, a2, b2, d)
+            assert _product((a1, b1), (a2, b2), d=d) == want, (a1, b1, a2, b2, d)
 
 
 def test_rho_triple_matches_naive_convolution():
@@ -79,7 +83,7 @@ def test_rho_triple_matches_naive_convolution():
                 lambda k: _naive_convolution(lambda j: rho_coeff(a1, b1, j),
                                              lambda j: rho_coeff(a2, b2, j), k),
                 lambda k: rho_coeff(a3, b3, k), d)
-            assert _rho_triple_coeff(a1, b1, a2, b2, a3, b3, d) == want, \
+            assert _product((a1, b1), (a2, b2), (a3, b3), d=d) == want, \
                 (a1, b1, a2, b2, a3, b3, d)
 
 
@@ -160,7 +164,7 @@ def test_sweep_orders_agree_with_tau_in_any_question_order():
     # the orders the sweep benchmark reaches, asked high-to-low on cold
     # coefficient caches and then low-to-high: cached lower coefficients
     # must be the same whichever order filled them
-    for cache in (g_terms, rho_coeff, _pair_terms):
+    for cache in (b_terms, b_power, rho_coeff, _factor):
         cache.cache_clear()
     orders = list(range(12, 7, -1)) + list(range(8, 13))
     for mu in [(9,), (4, 4), (5, 1, 1)]:

@@ -103,6 +103,12 @@ def test_json_round_trip():
     {"num": ["2"], "den": ["-2", "2"]},        # 2/(2q-2): not monic
     {"num": ["1", "1"], "den": ["-1", "0", "1"]},  # (1+q)/(q^2-1): unreduced
     {"num": [], "den": ["-1", "1"]},           # zero over q-1
+    {"num": [0.1], "den": ["1"]},              # JSON numbers and booleans
+    {"num": [1], "den": ["1"]},
+    {"num": ["1"], "den": [True]},
+    {"num": ["0.1"], "den": ["1"]},            # strings to_json never writes
+    {"num": ["1e3"], "den": ["1"]},
+    {"num": ["1/0"], "den": ["1"]},
 ])
 def test_from_json_rejects_unreduced_pairs(data):
     with pytest.raises(ValueError):

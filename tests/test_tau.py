@@ -16,11 +16,11 @@ from hurwitz.partitions import (
     partitions_of,
     set_partitions,
 )
-from hurwitz.series import g_coeff
+from hurwitz.series import rhos, to_gpoly
 from hurwitz.tau import (
     HurwitzResult,
     connected_any,
-    content_monomials,
+    content_powers,
     genus_slice,
     hurwitz_any,
 )
@@ -29,35 +29,41 @@ g = GPoly.var
 half = Fraction(1, 2)
 
 
-def _as_gpoly(table) -> GPoly:
-    """sum of m * g_nu over the entries nu: m of a content table."""
-    acc = GPoly.zero()
-    for nu, m in table.items():
-        acc = acc + math.prod((g(k) for k in nu), start=GPoly.const(m))
-    return acc
+def _content_value(lam, d) -> GPoly:
+    """[beta^d] prod over boxes of G(content * beta) from the diagram's vector."""
+    return to_gpoly(content_powers(lam, d), d)
 
 
 def test_content_product_small():
-    assert content_monomials((2,), 1) == {(1,): 1}                  # g1
-    assert content_monomials((2, 1), 2) == {(2,): 2, (1, 1): -1}    # 2 g2 - g1^2
-    assert content_monomials((3,), 3) == {(2, 1): 6, (3,): 9}       # 6 g1 g2 + 9 g3
-    assert content_monomials((), 0) == {(): 1}
-    assert content_monomials((), 3) == {}
+    assert _content_value((2,), 1) == g(1)
+    assert _content_value((2, 1), 2) == g(2) * 2 - g(1) ** 2
+    assert _content_value((3,), 3) == g(1) * g(2) * 6 + g(3) * 9
+    assert _content_value((), 0) == GPoly.one()
+    assert _content_value((), 3).is_zero()
 
 
 def test_content_product_graded():
     for lam in [(3, 1), (2, 2), (4,), (2, 1, 1)]:
         for d in range(6):
-            assert all(sum(nu) == d and nu == as_partition(nu)
-                       for nu in content_monomials(lam, d))
+            assert len(content_powers(lam, d)) == len(rhos(d))
+            assert _content_value(lam, d).is_homogeneous(d)
 
 
-def test_content_monomials_match_series_product():
+def _naive_box_product(lam, d) -> GPoly:
+    """[beta^d] prod over boxes of sum_j (c beta)^j g_j, one box at a time."""
+    series = [GPoly.one()] + [GPoly.zero()] * d
+    for c in contents(lam):
+        factor = [GPoly.one()] + [g(j).scale(c ** j) for j in range(1, d + 1)]
+        series = [sum((series[i] * factor[k - i] for i in range(k + 1)), GPoly.zero())
+                  for k in range(d + 1)]
+    return series[d]
+
+
+def test_content_powers_match_naive_box_product():
     for N in range(7):
         for lam in partitions_of(N):
-            multipliers = tuple(sorted(contents(lam)))
             for d in range(7):
-                assert _as_gpoly(content_monomials(lam, d)) == g_coeff(multipliers, d), (lam, d)
+                assert _content_value(lam, d) == _naive_box_product(lam, d), (lam, d)
 
 
 @lru_cache(maxsize=None)
@@ -210,6 +216,10 @@ _Q = {"num": ["1"], "den": ["1"]}
     {"d": "3"},
     {"mu": [2, 1]},
     {"pipeline": None},
+    {"pipeline": "bogus"},                                # not a pipeline name
+    {"pipeline": "auto"},
+    {"value": [{"exp": {"3": 1}, "num": 1.7, "den": True}]},
+    {"model": "quantum", "value": {"num": [0.1], "den": ["1"]}},
 ])
 def test_result_json_rejects_malformed_shapes(changes):
     data = {**_result(3, _G3), **changes}
