@@ -27,6 +27,9 @@ Three consumers:
   exponential formula, `partitions.nonconnected_from_connected`, the same
   sum that `verify` uses to recombine tau's connected values.
 
+As in tau, the values are kept per process (`partitions.partition_cache`),
+so the exponential formula builds each (block, k) closed form once.
+
 Conventions fixed against the other pipelines (see tests): the length-2
 linear cycle sum runs over rho^d_{mu1+mu2-b-1, b}; the length-3 quadratic
 pair sum has upper limit min(mu_i, mu_j) - 1, symmetric in the paired
@@ -40,7 +43,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .algebra import GPoly
-from .partitions import Partition, as_partition, aut_of, nonconnected_from_connected
+from .partitions import (Partition, as_partition, aut_of, nonconnected_from_connected,
+                         partition_cache)
 from .series import power_products, rhos, to_gpoly
 
 # A term (c, ((a_1, b_1), ...)) of a cycle sum stands for c * prod_i rho_{a_i b_i}.
@@ -133,9 +137,9 @@ def connected_len3(mu1: int, mu2: int, mu3: int, d: int) -> GPoly:
     return _cycle_sum(mu1 + mu2 + mu3, d, terms, mu1 * mu2 * mu3 * aut_of((mu1, mu2, mu3)))
 
 
+@partition_cache
 def connected_closed_form(mu: Partition, d: int) -> GPoly:
-    """Dispatch the length-1/2/3 closed forms for a sorted partition."""
-    mu = as_partition(mu)
+    """Dispatch the length-1/2/3 closed forms."""
     if len(mu) == 1:
         return connected_len1(mu[0], d)
     if len(mu) == 2:
@@ -147,9 +151,9 @@ def connected_closed_form(mu: Partition, d: int) -> GPoly:
 
 # -- nonconnected assembly (exponential formula, length <= 3) ------------
 
+@partition_cache
 def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
     """Nonconnected value from the connected closed forms for length(mu) <= 3."""
-    mu = as_partition(mu)
     if not 1 <= len(mu) <= 3:
         raise ValueError("closed-form assembly covers length 1..3 only")
     return nonconnected_from_connected(mu, d, connected_closed_form)

@@ -6,7 +6,8 @@ by the Murnaghan-Nakayama recursion in its beta-set form (first-column hook
 lengths), memoized in a module-level cache.  Cache insertion is idempotent
 and each entry is an int, so concurrent readers always observe consistent
 values.  `nonconnected_from_connected` is the exponential formula that the
-correlator and `verify` share.
+correlator and `verify` share; `partition_cache` is the per-process value
+cache that both generic pipelines put on their value functions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, combinations_with_replacement
 from typing import Any, Callable, Iterable, Sequence
 
@@ -35,6 +36,20 @@ def as_partition(parts: Iterable[int]) -> Partition:
     if t and t[-1] < 1:
         raise ValueError(f"partition parts must be positive: {t}")
     return t
+
+
+def partition_cache(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Keep fn(mu, ...) per process, looked up on the sorted partition of mu,
+    so a list or an unsorted tuple reads the sorted tuple's entry.  Callers
+    share the cached objects, which is safe because values are immutable."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def lookup(mu: Iterable[int], *args: Any, **kwargs: Any) -> Any:
+        return cached(as_partition(mu), *args, **kwargs)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
 
 
 def check_partition(mu: Sequence[int]) -> Partition:
@@ -196,51 +211,26 @@ def _distinct_permutations(parts: Partition):
     yield from rec([])
 
 
-def sym_eval(kind: str, arg: int | Partition, points: Sequence[Fraction]) -> Fraction:
-    """Evaluate e_i / h_i / m_lambda / f_lambda exactly at the given points.
-
-    `arg` is the index i for kinds "e" and "h", a partition for "m" and "f".
-    """
-    if kind == "e":
-        i = int(arg)
-        if i < 0:
-            raise ValueError("negative index")
-        if i > len(points):
-            return Fraction(0)
-        total = Fraction(0)
-        for combo in combinations(points, i):
-            total = total + math.prod(combo)
-        return total
-    if kind == "h":
-        i = int(arg)
-        if i < 0:
-            raise ValueError("negative index")
-        total = Fraction(0)
-        for combo in combinations_with_replacement(points, i):
-            total = total + math.prod(combo)
-        return total
+def sym_eval(kind: str, lam: Partition, points: Sequence[Fraction]) -> Fraction:
+    """Evaluate the monomial ("m") or forgotten ("f") symmetric function of
+    the partition lam exactly at the given points."""
+    if kind not in ("m", "f"):
+        raise ValueError(f"unknown symmetric function kind: {kind!r}")
+    lam = as_partition(lam)
+    k = len(lam)
+    total = Fraction(0)
     if kind == "m":
-        lam = as_partition(arg)  # type: ignore[arg-type]
-        k = len(lam)
-        if k > len(points):
-            return Fraction(0)
-        total = Fraction(0)
         for idx in combinations(range(len(points)), k):
             for arrangement in _distinct_permutations(lam):
                 total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
         return total
-    if kind == "f":
-        # forgotten basis at explicit points: sign (-1)^{colength}, indices
-        # weakly increasing with repetitions; the 1/|aut| of the defining sum
-        # over all of S_k cancels against counting distinct rearrangements
-        lam = as_partition(arg)  # type: ignore[arg-type]
-        k = len(lam)
-        total = Fraction(0)
-        for arrangement in _distinct_permutations(lam):
-            for idx in combinations_with_replacement(range(len(points)), k):
-                total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
-        return total if colength(lam) % 2 == 0 else -total
-    raise ValueError(f"unknown symmetric function kind: {kind!r}")
+    # forgotten basis at explicit points: sign (-1)^{colength}, indices
+    # weakly increasing with repetitions; the 1/|aut| of the defining sum
+    # over all of S_k cancels against counting distinct rearrangements
+    for arrangement in _distinct_permutations(lam):
+        for idx in combinations_with_replacement(range(len(points)), k):
+            total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
+    return total if colength(lam) % 2 == 0 else -total
 
 
 def set_partitions(items: Sequence[Any]):

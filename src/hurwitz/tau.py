@@ -48,6 +48,7 @@ from .partitions import (
     contents,
     format_partition,
     hook_product,
+    partition_cache,
     partitions_of,
     z_of,
 )
@@ -74,11 +75,10 @@ def content_powers(lam: Partition, d: int) -> tuple[int, ...]:
     return tuple(power_products([sum(c ** k for c in cs) for k in range(1, d + 1)], d))
 
 
-@lru_cache(maxsize=None)
+@partition_cache
 def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
                 degree_cap: int = DEGREE_CAP) -> GPoly:
     """Nonconnected generic value for any profile length."""
-    mu = as_partition(mu)
     check_caps(mu, d, weight_cap, degree_cap)
     if d < 0:
         raise ValueError("d must be >= 0")
@@ -95,7 +95,7 @@ def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
     return to_gpoly(acc, d, fact * z_of(mu))
 
 
-@lru_cache(maxsize=None)
+@partition_cache
 def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
                   degree_cap: int = DEGREE_CAP) -> GPoly:
     """Connected value for any profile length, by the exponential formula.
@@ -104,7 +104,6 @@ def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
     |aut(parts)| * connected(parts) satisfy the recursion of the module
     docstring; the result is psi(mu, d) / |aut(mu)|.
     """
-    mu = as_partition(mu)
     n = len(mu)
     if n == 0:
         return GPoly.one() if d == 0 else GPoly.zero()

@@ -4,7 +4,8 @@ Supported models and their coefficient sequences g_1, g_2, ...:
 
   generic      keep g_i symbolic (values stay GPoly)
   exp          g_i = 1/i!
-  rational     g_i = sum_j e_j(c) h_{i-j}(d) for finite parameter lists c, d
+  rational     G(z) = prod (1 + c_k z) / prod (1 - d_j z) for finite lists c, d,
+               expanded factor by factor: g_i = sum_j e_j(c) h_{i-j}(d)
   dual         g_i = h_i(d)                  (rational with empty c)
   quantum      g_i = 1/(q;q)_i, either as an exact quantum value of a
                symbolic q (QRat) or at an exact rational q
@@ -29,7 +30,6 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .algebra import GPoly
-from .partitions import sym_eval
 from .qrational import QPoly, QRat, q_multinomial
 
 MODEL_KINDS = ("generic", "exp", "rational", "dual", "quantum", "taylor")
@@ -159,14 +159,14 @@ def taylor_coeffs(model: WeightModel, upto: int) -> list[Fraction]:
     if model.kind == "exp":
         return [Fraction(1, math.factorial(i)) for i in range(1, upto + 1)]
     if model.kind in ("rational", "dual"):
-        c, d = model.c, model.d
-        return [
-            sum(
-                (sym_eval("e", j, c) * sym_eval("h", i - j, d) for j in range(i + 1)),
-                start=Fraction(0),
-            )
-            for i in range(1, upto + 1)
-        ]
+        g = [Fraction(1)] + [Fraction(0)] * upto
+        for c in model.c:       # times (1 + c z), top index first
+            for i in range(upto, 0, -1):
+                g[i] += c * g[i - 1]
+        for d in model.d:       # over (1 - d z): the prefix recursion
+            for i in range(1, upto + 1):
+                g[i] += d * g[i - 1]
+        return g[1:]
     if model.kind == "quantum":
         q = model.q
         out = []

@@ -181,6 +181,38 @@ def test_parser_reuse_behaves_like_fresh_processes(capsys):
     assert usage_error() == first
 
 
+def _cold_output(capsys, argv):
+    for value in (hurwitz_any, connected_any, connected_closed_form, nonconnected_assemble):
+        value.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("model", ["generic", "exp", "rational:c=1,2;d=3", "dual:d=1",
+                                   "quantum:q=1/3"])
+def test_cached_values_print_the_cold_bytes(capsys, model):
+    # values are shared between requests and callers, which is safe only
+    # because they are immutable: a repeated request prints what a cold
+    # process prints
+    for argv in (["--mu", "3,1,1", "--d-range", "3:7"],
+                 ["--mu", "2,2,1", "--d-range", "5:7", "--connected"],
+                 ["--mu", "2,1,1,1", "--d-range", "3:7", "--pipeline", "tau"]):
+        argv = ["compute", *argv, "--weights", model, "--format", "json"]
+        first, again = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == again == _cold_output(capsys, argv)
+
+
+def test_assembly_from_cached_blocks_prints_the_cold_bytes(capsys):
+    argv = ["compute", "--mu", "2,1,1", "--d", "7", "--format", "json"]
+    cold = _cold_output(capsys, argv)
+    for value in (connected_closed_form, nonconnected_assemble):
+        value.cache_clear()
+    for mu, d in (("2,1", "3:5"), ("1,1", "0:6"), ("2", "0:4"), ("1", "0:2")):
+        assert run_cli(capsys, "compute", "--mu", mu, "--d-range", d, "--connected")[0] == 0
+    hits = connected_closed_form.cache_info().hits
+    assert run_cli(capsys, *argv) == cold
+    assert connected_closed_form.cache_info().hits > hits
+
+
 def test_compute_auto_uses_tau_for_long_profiles(capsys):
     code, out, _ = run_cli(capsys, "compute", "--mu", "1,1,1,1", "--d", "2")
     assert code == 0

@@ -160,14 +160,25 @@ def test_wtilde_rejects_bad_arity():
         wtilde_coeff(2, (1,), 3)
 
 
+def test_value_caches_key_on_the_sorted_profile():
+    for value in (connected_closed_form, nonconnected_assemble):
+        want = value((3, 1), 6)
+        entries = value.cache_info().currsize
+        assert value([3, 1], 6) == value((1, 3), 6) == want
+        assert value.cache_info().currsize == entries
+
+
 def test_sweep_orders_agree_with_tau_in_any_question_order():
     # the orders the sweep benchmark reaches, asked high-to-low on cold
     # coefficient caches and then low-to-high: cached lower coefficients
-    # must be the same whichever order filled them
+    # must be the same whichever order filled them; the value caches are
+    # emptied before each pass, so every value is computed again
     for cache in (b_terms, b_power, rho_coeff, _factor):
         cache.cache_clear()
-    orders = list(range(12, 7, -1)) + list(range(8, 13))
-    for mu in [(9,), (4, 4), (5, 1, 1)]:
-        for d in orders:
-            assert connected_closed_form(mu, d) == connected_any(mu, d), (mu, d)
-            assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d), (mu, d)
+    for orders in (range(12, 7, -1), range(8, 13)):
+        connected_closed_form.cache_clear()
+        nonconnected_assemble.cache_clear()
+        for mu in [(9,), (4, 4), (5, 1, 1)]:
+            for d in orders:
+                assert connected_closed_form(mu, d) == connected_any(mu, d), (mu, d)
+                assert nonconnected_assemble(mu, d) == hurwitz_any(mu, d), (mu, d)

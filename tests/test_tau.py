@@ -158,6 +158,25 @@ def test_values_are_sorted_insensitive():
     assert connected_any((1, 1, 2), 5) == connected_any((2, 1, 1), 5)
 
 
+def test_value_caches_key_on_the_sorted_profile():
+    # a list and an unsorted tuple read the sorted profile's one entry
+    want = hurwitz_any((3, 1), 6)
+    hurwitz_any.cache_clear()
+    assert hurwitz_any([3, 1], 6) == hurwitz_any((1, 3), 6) == hurwitz_any((3, 1), 6) == want
+    assert hurwitz_any.cache_info().currsize == 1
+    # the connected recursion adds its blocks' entries, the same for any form
+    want = connected_any((3, 1), 6)
+    connected_any.cache_clear()
+    assert connected_any((3, 1), 6) == want
+    entries = connected_any.cache_info().currsize
+    for form in ([3, 1], (1, 3)):
+        connected_any.cache_clear()
+        assert connected_any(form, 6) == want
+        assert connected_any.cache_info().currsize == entries
+    assert connected_any([3, 1], 6) == connected_any((3, 1), 6) == want
+    assert connected_any.cache_info().currsize == entries
+
+
 def test_result_json_round_trip():
     res = HurwitzResult((2, 1), 3, True, "tau", connected_any((2, 1), 3))
     again = HurwitzResult.from_json(res.to_json())

@@ -11,6 +11,7 @@ from hurwitz.partitions import partitions_of
 from hurwitz.qrational import QPoly, QRat, q_multinomial
 from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import WeightModel, parse_model, qrat_pretty, specialize, taylor_coeffs
+from test_partitions import naive_e, naive_h
 from test_qrational import assert_reduced_quotient, pochhammer
 
 g = GPoly.var
@@ -116,28 +117,27 @@ def test_specialize_is_ring_homomorphism():
             assert specialize(a + b, model) == specialize(a, model) + specialize(b, model)
 
 
-def _independent_rational_series(c, d, order):
-    # prod (1 + c_k z) * prod 1/(1 - d_j z), truncated directly
-    out = [F(1)] + [F(0)] * order
-    for ck in c:
-        for i in range(order, 0, -1):
-            out[i] += ck * out[i - 1]
-    for dj in d:
-        new = [F(0)] * (order + 1)
-        for i in range(order + 1):
-            new[i] = out[i] + (new[i - 1] * dj if i else F(0))
-        out = new
-    return out
+def naive_rational_coeffs(c, d, upto):
+    """g_1 .. g_upto of prod (1 + c z) / prod (1 - d z) as the brute-force
+    sums g_i = sum_j e_j(c) h_{i-j}(d)."""
+    return [sum((naive_e(j, c) * naive_h(i - j, d) for j in range(i + 1)), F(0))
+            for i in range(1, upto + 1)]
 
 
 def test_rational_coeffs_against_independent_expansion():
     rng = random.Random(9)
-    for _ in range(4):
-        c = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
-        d = tuple(F(rng.randint(-3, 3), rng.randint(2, 5)) for _ in range(2))
-        series = _independent_rational_series(c, d, 7)
-        got = taylor_coeffs(WeightModel.rational(c=c, d=d), 7)
-        assert got == series[1:]
+
+    def entries(n):     # negative, fractional and, with few choices, repeated
+        return tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+
+    models = [WeightModel.rational(c=entries(rng.randint(0, 4)), d=entries(rng.randint(0, 3)))
+              for _ in range(12)]
+    models += [WeightModel.rational(), WeightModel.rational(c=(F(2), F(2), F(-1, 3))),
+               WeightModel.rational(d=(F(-1, 2), F(-1, 2))), parse_model("dual:d="),
+               WeightModel.dual(d=entries(3))]
+    for model in models:
+        for upto in (0, 1, 7):
+            assert taylor_coeffs(model, upto) == naive_rational_coeffs(model.c, model.d, upto)
 
 
 def test_parse_model():
