@@ -1,22 +1,25 @@
 """Exact sparse polynomial arithmetic in the weight coefficients g_1, g_2, ...
 
 A GPoly is a polynomial over Q in countably many variables g_1, g_2, ...,
-stored sparsely as a map from exponent vectors to Fraction coefficients.
-The exponent vector (e_1, ..., e_k) stands for g_1^e_1 * ... * g_k^e_k and
-is kept with trailing zeros stripped, so equal monomials have equal keys.
-Zero coefficients are never stored.
+stored sparsely as integer numerators over one common denominator: a map
+from exponent vectors to nonzero ints and one int den > 0 with
+gcd(den, numerators) = 1.  The exponent vector (e_1, ..., e_k) stands for
+g_1^e_1 * ... * g_k^e_k and is kept with trailing zeros stripped, so equal
+monomials have equal keys and equal values have equal fields.
 
 The variable g_i carries weight i.  The weighted degree of a monomial is
 sum(i * e_i); generic Hurwitz values of total branching order d are
 homogeneous of weighted degree exactly d, which the tests rely on.
 
-Coefficients are fractions.Fraction throughout: no floating point, no
-rounding, ever.  GPoly values are immutable after construction and safe to
-share between threads.
+Arithmetic runs in Python ints and reduces once per result; `terms` and
+`canonical_terms` build fractions.Fraction coefficients for display.  No
+floating point, no rounding, ever.  GPoly values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -48,25 +51,23 @@ def monomial_weight(exp: Exponent) -> int:
     return sum((i + 1) * k for i, k in enumerate(exp))
 
 
+def _canonical(term: tuple[Exponent, object]) -> tuple[int, Exponent]:
+    return monomial_weight(term[0]), term[0]
+
+
 class GPoly:
     """Sparse multivariate polynomial in g_1, g_2, ... over Q."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")     # {exponent: int numerator}, int den
 
     def __init__(self, terms: Mapping[Exponent, RationalLike] | None = None):
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exp, coef in terms.items():
-                c = Fraction(coef)
-                if c:
-                    e = _strip(exp)
-                    prev = clean.get(e)
-                    c = c if prev is None else prev + c
-                    if c:
-                        clean[e] = c
-                    elif prev is not None:
-                        del clean[e]
-        self._terms = clean
+        coefs: dict[Exponent, Fraction] = {}
+        for exp, coef in (terms or {}).items():
+            e = _strip(exp)
+            coefs[e] = coefs.get(e, 0) + Fraction(coef)
+        den = math.lcm(*(c.denominator for c in coefs.values()))
+        p = _make({e: c.numerator * (den // c.denominator) for e, c in coefs.items()}, den)
+        self._terms, self._den = p._terms, p._den
 
     # -- constructors -------------------------------------------------
 
@@ -80,26 +81,31 @@ class GPoly:
 
     @staticmethod
     def const(c: RationalLike) -> GPoly:
-        return GPoly({(): Fraction(c)})
+        return GPoly({(): c})
 
     @staticmethod
     def var(i: int, coef: RationalLike = 1) -> GPoly:
         """The monomial coef * g_i (i >= 1)."""
         if i < 1:
             raise ValueError(f"variable index must be >= 1, got {i}")
-        return GPoly({(0,) * (i - 1) + (1,): Fraction(coef)})
+        return GPoly({(0,) * (i - 1) + (1,): coef})
 
     @staticmethod
     def from_int_terms(terms: Mapping[Exponent, int], den: int = 1) -> GPoly:
-        """sum c/den * g^e over an integer term map whose keys are already
-        stripped; zero coefficients are dropped."""
-        return _wrap({e: Fraction(c, den) for e, c in terms.items() if c})
+        """sum c/den * g^e (den != 0) over an integer term map whose keys are
+        already stripped; zero coefficients are dropped.  Inverse of
+        `int_terms`."""
+        return _make(dict(terms), den)
 
     # -- inspection ---------------------------------------------------
 
+    def int_terms(self) -> tuple[dict[Exponent, int], int]:
+        """The integer numerators by exponent and their common denominator."""
+        return dict(self._terms), self._den
+
     @property
     def terms(self) -> dict[Exponent, Fraction]:
-        return dict(self._terms)
+        return {e: Fraction(c, self._den) for e, c in self._terms.items()}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -126,7 +132,7 @@ class GPoly:
 
     def canonical_terms(self) -> list[tuple[Exponent, Fraction]]:
         """Terms sorted by ascending weighted degree, then lex from g_1 up."""
-        return sorted(self._terms.items(), key=lambda t: (monomial_weight(t[0]), t[0]))
+        return sorted(self.terms.items(), key=_canonical)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -137,19 +143,19 @@ class GPoly:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
+        # bring both to the lcm of the denominators
+        g = math.gcd(self._den, other._den)
+        m1, m2 = other._den // g, self._den // g
+        out = {e: c * m1 for e, c in self._terms.items()}
+        get = out.get
         for e, c in other._terms.items():
-            s = out.get(e, _F0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _wrap(out)
+            out[e] = get(e, 0) + c * m2
+        return _make(out, self._den * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> GPoly:
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return _wrap({e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: GPoly | RationalLike) -> GPoly:
         if not isinstance(other, GPoly):
@@ -164,16 +170,13 @@ class GPoly:
             return self.scale(other)
         if not self._terms or not other._terms:
             return _ZERO
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
+        get = out.get
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = _mono_mul(e1, e2)
-                s = out.get(e, _F0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _wrap(out)
+                out[e] = get(e, 0) + c1 * c2
+        return _make(out, self._den * other._den)
 
     def __rmul__(self, other: RationalLike) -> GPoly:
         return self.scale(other)
@@ -181,13 +184,13 @@ class GPoly:
     def scale(self, s: RationalLike) -> GPoly:
         if s == 1:
             return self
-        s = Fraction(s)
         if not s:
             return _ZERO
-        return _wrap({e: c * s for e, c in self._terms.items()})
+        n, d = s.numerator, s.denominator
+        return _make({e: c * n for e, c in self._terms.items()}, self._den * d)
 
     def __truediv__(self, s: RationalLike) -> GPoly:
-        return self.scale(Fraction(1, 1) / Fraction(s))
+        return self.scale(1 / Fraction(s))
 
     def __pow__(self, n: int) -> GPoly:
         if n < 0:
@@ -202,14 +205,17 @@ class GPoly:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == GPoly.const(other)._terms
+            other = GPoly.const(other)
+        if isinstance(other, GPoly):
+            return self._den == other._den and self._terms == other._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a constant hashes as its number, which it equals
+        if self._terms.keys() <= {()}:
+            return hash(Fraction(self._terms.get((), 0), self._den))
+        return hash((self._den, frozenset(self._terms.items())))
 
     # -- display / serialization --------------------------------------
 
@@ -237,15 +243,14 @@ class GPoly:
         return f"GPoly({self})"
 
     def to_json(self) -> list[dict]:
-        """Canonically ordered list of terms with big integers as strings."""
-        return [
-            {
-                "exp": {str(i + 1): k for i, k in enumerate(exp) if k},
-                "num": str(coef.numerator),
-                "den": str(coef.denominator),
-            }
-            for exp, coef in self.canonical_terms()
-        ]
+        """Canonically ordered list of terms, each reduced, with big integers
+        as strings."""
+        out = []
+        for exp, c in sorted(self._terms.items(), key=_canonical):
+            g = math.gcd(c, self._den)
+            out.append({"exp": {str(i + 1): k for i, k in enumerate(exp) if k},
+                        "num": str(c // g), "den": str(self._den // g)})
+        return out
 
     @staticmethod
     def from_json(data: list[dict], degree: int | None = None) -> GPoly:
@@ -285,15 +290,25 @@ class GPoly:
                       for idx, c in sparse})
 
 
-_F0 = Fraction(0)
+def _make(nums: dict[Exponent, int], den: int) -> GPoly:
+    """The normal form of sum n/den * g^e over stripped keys (den != 0)."""
+    if 0 in nums.values():
+        nums = {e: c for e, c in nums.items() if c}
+    g = math.gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = {e: c // g for e, c in nums.items()}
+        den //= g
+    return _wrap(nums, den)
 
 
-def _wrap(terms: dict[Exponent, Fraction]) -> GPoly:
-    # internal fast path: terms already normalized (no zeros, stripped keys)
+def _wrap(nums: dict[Exponent, int], den: int) -> GPoly:
+    # internal fast path: fields already in normal form
     p = GPoly.__new__(GPoly)
-    p._terms = terms
+    p._terms, p._den = nums, den
     return p
 
 
-_ZERO = GPoly()
-_ONE = GPoly({(): Fraction(1)})
+_ZERO = _wrap({}, 1)
+_ONE = _wrap({(): 1}, 1)

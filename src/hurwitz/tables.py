@@ -392,13 +392,13 @@ def compare_tables(table_id: str) -> list[dict]:
     each pipeline's entry is the computed value."""
     rows = []
     for cell, want, provenance, got, names in _cells(table_id.upper()):
-        shown = display(got)
+        shown, match = display(got), want == got
         rows.append(
             {
                 "cell": cell,
-                "printed": display(want),
+                "printed": shown if match else display(want),
                 "computed": shown,
-                "match": want == got,
+                "match": match,
                 "provenance": provenance,
                 "pipelines": {name: shown for name in names},
             }

@@ -116,21 +116,18 @@ def parse_model(text: str) -> WeightModel:
         if head == "taylor":
             return WeightModel.taylor([Fraction(x) for x in rest.split(",") if x])
         if head == "rational":
-            c: list[Fraction] = []
-            d: list[Fraction] = []
+            params: dict[str, list[Fraction]] = {}
             for clause in rest.split(";"):
                 clause = clause.strip()
                 if not clause:
                     continue
                 key, _, vals = clause.partition("=")
-                values = [Fraction(x) for x in vals.split(",") if x]
-                if key == "c":
-                    c = values
-                elif key == "d":
-                    d = values
-                else:
+                if key not in ("c", "d"):
                     raise ValueError(f"unknown rational parameter {key!r}")
-            return WeightModel.rational(c, d)
+                if key in params:
+                    raise ValueError(f"repeated rational parameter {key!r}")
+                params[key] = [Fraction(x) for x in vals.split(",") if x]
+            return WeightModel.rational(params.get("c", ()), params.get("d", ()))
         if head == "dual":
             key, _, vals = rest.partition("=")
             if key != "d":
@@ -195,26 +192,25 @@ def specialize(p: GPoly, model: WeightModel) -> GPoly | QRat | Fraction:
     if model.symbolic_q:
         return _specialize_symbolic_q(p)
     gs = taylor_coeffs(model, max(p.variables(), default=0))
+    nums, den = p.int_terms()
     total = Fraction(0)
-    for exp, coef in p.terms.items():
+    for exp, coef in nums.items():
         for g, k in zip(gs, exp):
             for _ in range(k):
-                coef *= g
+                coef = g * coef     # Fraction on the left: its forward operator
         total += coef
-    return total
+    return total / den
 
 
 def _specialize_symbolic_q(p: GPoly) -> QRat:
     # P = sum c * (q;q)_D / prod (q;q)_i^e_i over a common denominator
     top = max(p.weighted_degree(), 0)
-    terms = p.terms
-    scale = math.lcm(*(c.denominator for c in terms.values()))
+    nums, den = p.int_terms()
     acc = [0] * (top * (top + 1) // 2 + 1)
-    for exp, coef in terms.items():
-        c = coef.numerator * (scale // coef.denominator)
+    for exp, c in nums.items():
         for j, x in enumerate(q_multinomial(top, exp)):
             acc[j] += c * x
-    return QRat.over_pochhammer(QPoly(acc).scale(Fraction(1, scale)), top)
+    return QRat.over_pochhammer(QPoly(acc).scale(Fraction(1, den)), top)
 
 
 # -- display-only (q;q)_m formatter --------------------------------------

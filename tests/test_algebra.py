@@ -1,6 +1,8 @@
 """GPoly arithmetic, grading, serialization."""
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -136,3 +138,112 @@ def test_ring_axioms(a, b, c):
 def test_hash_consistent_with_eq(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+def test_constant_hashes_as_its_number():
+    for p, x in ((GPoly.one(), 1), (GPoly.zero(), 0), (GPoly.const(Fraction(-3, 4)), Fraction(-3, 4)),
+                 (g1 - g1 + 5, 5)):
+        assert p == x and hash(p) == hash(x)
+        assert len({p, x}) == 1
+    assert len({GPoly.one(), 1, Fraction(1), GPoly.zero(), 0}) == 2
+
+
+def test_equal_values_built_three_ways_hash_equal():
+    e = (0, 1)
+    ways = [GPoly({e: Fraction(2, 4)}), GPoly.from_int_terms({e: 3}, 6), GPoly.var(2) / 2]
+    assert ways[0] == ways[1] == ways[2]
+    assert len({hash(p) for p in ways}) == 1
+    assert ways[0].int_terms() == ({e: 1}, 2)
+
+
+# -- the normal form against a naive dict-of-Fraction reference ---------
+
+
+def _strip(e):
+    e = tuple(e)
+    while e and not e[-1]:
+        e = e[:-1]
+    return e
+
+
+def _ref(terms):
+    """{stripped exponent: nonzero Fraction}, summing repeated keys."""
+    out = {}
+    for e, c in terms.items():
+        out[_strip(e)] = out.get(_strip(e), 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _ref(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = _strip(x + y for x, y in zip_longest(e1, e2, fillvalue=0))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _ref(out)
+
+
+def _ref_pow(a, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def assert_normal(p):
+    nums, den = p.int_terms()
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in nums.values())
+    assert all(not e or e[-1] for e in nums)
+    assert math.gcd(den, *nums.values()) == 1
+
+
+raw_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)   # zeros too
+raw_terms = st.dictionaries(exponents, raw_coeffs, max_size=4)
+# integer numerators over a denominator, of either sign, they are not reduced by
+int_terms = st.tuples(st.dictionaries(exponents.map(_strip), st.integers(-6, 6), max_size=4),
+                      st.integers(-12, 12).filter(bool))
+
+
+@st.composite
+def built(draw):
+    """(GPoly, reference) built through the constructor or from_int_terms."""
+    if draw(st.booleans()):
+        terms = draw(raw_terms)
+        return GPoly(terms), _ref(terms)
+    nums, den = draw(int_terms)
+    return GPoly.from_int_terms(nums, den), _ref({e: Fraction(c, den) for e, c in nums.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(built(), built(), raw_coeffs, st.integers(0, 3))
+def test_arithmetic_matches_reference_in_normal_form(x, y, s, n):
+    (a, ra), (b, rb) = x, y
+    cases = [
+        (a, ra),
+        (a + b, _ref_add(ra, rb)),
+        (a - b, _ref_add(ra, rb, -1)),
+        (a * b, _ref_mul(ra, rb)),
+        (a.scale(s), _ref({e: c * s for e, c in ra.items()})),
+        (s * a, _ref({e: c * s for e, c in ra.items()})),
+        (a + s, _ref_add(ra, {(): s})),
+        (-a, {e: -c for e, c in ra.items()}),
+        (a ** n, _ref_pow(ra, n)),
+    ]
+    if s:
+        cases.append((a / s, {e: c / s for e, c in ra.items()}))
+    for p, want in cases:
+        assert_normal(p)
+        assert p.terms == want
+        assert p == GPoly(want) and hash(p) == hash(GPoly(want))
+        data = p.to_json()
+        assert all(math.gcd(int(t["num"]), int(t["den"])) == 1 for t in data)
+        assert GPoly.from_json(data) == p
+        assert GPoly.from_int_terms(*p.int_terms()) == p

@@ -1,6 +1,7 @@
 """CLI behaviour: formats, round-trips, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -11,6 +12,7 @@ from hurwitz import cli, tables
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.correlator import connected_closed_form, nonconnected_assemble
+from hurwitz.partitions import partitions_of
 from hurwitz.tau import HurwitzResult, connected_any, hurwitz_any
 from hurwitz.weights import parse_model, specialize
 
@@ -19,6 +21,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_json_output_bytes_are_pinned(capsys):
+    # every profile with |mu| <= 5, d = 0..8, connected and not, under three
+    # models: the bytes of `compute --format json`, as one digest
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            for model in ("generic", "quantum", "exp"):
+                for connected in ((), ("--connected",)):
+                    code, out, _ = run_cli(capsys, "compute", "--mu", ",".join(map(str, mu)),
+                                           "--d-range", "0:8", "--weights", model,
+                                           "--format", "json", *connected)
+                    assert code == 0
+                    digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "12fdf6d85872f2c679a8db2459057337784c4ef9496ccdba6fa2f9aab2659fcb")
 
 
 def test_compute_connected_generic(capsys):
@@ -231,6 +250,14 @@ def test_zero_denominator_weight_model(capsys, model):
     code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"hurwitz: error: bad weight model {model!r}: zero denominator"]
+
+
+@pytest.mark.parametrize("model", ["rational:c=1;c=2", "rational:c=1;d=2;c=1"])
+def test_repeated_rational_parameter(capsys, model):
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"hurwitz: error: bad weight model {model!r}: repeated rational parameter 'c'"]
 
 
 @pytest.mark.parametrize("text", ["3", "a:b", "1:2:3", ":", "5:3"])

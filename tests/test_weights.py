@@ -154,6 +154,20 @@ def test_parse_model():
             parse_model(bad)
 
 
+@pytest.mark.parametrize("text, key", [("rational:c=1;c=2", "c"), ("rational:d=1;c=2;d=3", "d"),
+                                       ("rational:c=;c=1", "c"), ("rational: d=1 ; d=1", "d")])
+def test_parse_model_rejects_repeated_rational_parameter(text, key):
+    with pytest.raises(ValueError) as exc:
+        parse_model(text)
+    assert str(exc.value) == f"bad weight model {text!r}: repeated rational parameter {key!r}"
+
+
+def test_parse_model_empty_parameter_lists():
+    assert parse_model("dual:d=") == WeightModel.dual(())
+    assert parse_model("rational:") == WeightModel.rational()
+    assert parse_model("rational:c=;d=") == WeightModel.rational()
+
+
 def test_parse_model_round_trip_describe():
     for text in ("generic", "exp", "rational:c=1,2;d=3", "dual:d=1",
                  "quantum", "quantum:q=1/3", "taylor:1,1/2,1/6"):
