@@ -83,9 +83,9 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--pipeline", choices=PIPELINES, default="auto")
     p_compute.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_compute.add_argument("--max-weight", type=int, default=WEIGHT_CAP,
-                           help="profile weight cap for the correlator and tau pipelines")
+                           help="profile weight cap for every pipeline")
     p_compute.add_argument("--max-degree", type=int, default=DEGREE_CAP,
-                           help="branching order cap for the correlator and tau pipelines")
+                           help="branching order cap for every pipeline")
 
     p_table = sub.add_parser("table", help="regenerate a published table")
     p_table.add_argument("which", help="one of " + ", ".join(table_ids()))
@@ -130,11 +130,11 @@ def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
     pipeline = config.pipeline
     if pipeline == "auto":
         pipeline = "correlator" if len(mu) <= 3 else "tau"
+    if pipeline in ("tau", "oracle"):   # caps come before the selection rules
+        check_caps(mu, d, config.weight_cap, config.degree_cap)
     if pipeline == "oracle":
         value = weighted_from_definition(mu, d, model, connected=config.connected)
         return HurwitzResult(mu, d, config.connected, "oracle", value, model.describe())
-    if pipeline == "tau":   # caps come before the selection rules
-        check_caps(mu, d, config.weight_cap, config.degree_cap)
     if _vanishes(mu, d, config.connected):
         generic = GPoly.zero()
     elif pipeline == "correlator":   # after them: a vanishing value of any size prints 0

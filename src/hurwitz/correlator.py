@@ -19,10 +19,10 @@ Three consumers:
 
 * closed forms for connected values with marked profile of length 1, 2, 3
   (linear / quadratic / cubic cycle sums over the rho grid);
-* `wtilde_coeff`, an independent validator that expands the connected
-  n-point functions directly from single-n-cycle products of pair kernels,
-  eliminating the 1/(x_i - x_j) poles exactly with telescoping
-  divided-difference identities (any residual pole is a hard error);
+* `wtilde_coeff`, an independent validator for any n that expands the
+  connected n-point function directly from the cyclic-order products of
+  pair kernels, each pole a geometric series in one region of the x_i
+  (`_expansion`);
 * nonconnected values from the connected closed forms by the forward
   exponential formula, `partitions.nonconnected_from_connected`, the same
   sum that `verify` uses to recombine tau's connected values.
@@ -39,7 +39,9 @@ parts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable
 
 from .algebra import GPoly
@@ -162,115 +164,65 @@ def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
 # -- direct expansion of the connected n-point functions -----------------
 
 
-def _telescope(u: int, v: int):
-    """Monomials of (x^u y^v - x^v y^u)/(x - y) as ((i, j), sign) pairs.
+def _expansion(exponents: tuple[int, ...]) -> list[Term]:
+    """Terms of the coefficient of prod_i x_i^(e_i) in the connected n-point
+    function W_n = (-1)^(n+1) sum over cyclic orders sigma of
+    prod_i K(x_i, x_sigma(i)), where K(x, y) = 1/(x - y) + R(x, y) and
+    R(x, y) = sum rho_ab x^a y^b (for n = 1 the loop R(x, x)).
 
-    The expansion is exact: u > v gives +x^t y^(u+v-1-t) for v <= t < u,
-    u < v the mirrored negatives, u = v nothing.  This identity is the only
-    way poles are ever removed, so no division (hence no residue) occurs.
+    W_n is a power series (the n = 2 double pole aside), so its coefficient
+    is the sum of the coefficients of its products expanded in the region
+    |x_0| < |x_1| < ..., where 1/(x_i - x_j) = -sum_k x_i^k x_j^(-k-1) for
+    i < j and +sum_k x_j^k x_i^(-k-1) for i > j.  An all-pole product has
+    degree -n and never contributes.  Poles are taken in order of their
+    larger index, so each k is bounded by what the smaller vertex has left;
+    each vertex then splits what it has left between its R edges.
     """
-    if u == v:
-        return ()
-    if u > v:
-        return tuple(((t, u + v - 1 - t), 1) for t in range(v, u))
-    return tuple(((t, u + v - 1 - t), -1) for t in range(u, v))
+    n = len(exponents)
+    signs: Counter = Counter()
+    for rest in permutations(range(1, n)):
+        cycle = (0,) + rest
+        edges = [(cycle[t], cycle[(t + 1) % n]) for t in range(n)]
+        for mask in range(1, 2 ** n):
+            r = [mask >> t & 1 for t in range(n)]
+            states = [(list(exponents), (-1) ** (n + 1))]
+            for i, j in sorted((e for e, rt in zip(edges, r) if not rt), key=max):
+                lo, hi = sorted((i, j))
+                nxt = []
+                for left, sign in states:
+                    for k in range(left[lo] + 1):
+                        new = left[:]
+                        new[lo] -= k
+                        new[hi] += k + 1
+                        nxt.append((new, -sign if i < j else sign))
+                states = nxt
+            for left, sign in states:
+                choices = []
+                for t, v in enumerate(cycle):   # v leaves by edge t, enters by t - 1
+                    spare, out, inn = left[v], r[t], r[t - 1]
+                    if not (out or inn) and spare:
+                        break
+                    a_s = range(spare + 1) if out and inn else (spare if out else 0,)
+                    choices.append([(a, spare - a) for a in a_s])
+                else:
+                    for split in product(*choices):
+                        key = tuple(sorted((split[t][0], split[(t + 1) % n][1])
+                                           for t in range(n) if r[t]))
+                        signs[key] += sign
+    return [(c, key) for key, c in signs.items() if c]
 
 
-def _w1(p: int) -> Iterable[Term]:
-    for a in range(p + 1):
-        yield 1, ((a, p - a),)
-
-
-def _w2(p: int, q: int) -> Iterable[Term]:
-    # divided difference of the antisymmetrized kernel
-    for a in range(p + q + 2):
-        b = p + q + 1 - a
-        if b < 0:
-            continue
-        for (i, j), sign in _telescope(a, b):
-            if i == p and j == q:
-                yield sign, ((a, b),)
-    # minus the product of the two kernels
-    for a in range(p + 1):
-        for b in range(q + 1):
-            yield -1, ((a, q - b), (b, p - a))
-
-
-def _w3(p1: int, p2: int, p3: int) -> Iterable[Term]:
-    # single-kernel bracket: double divided differences
-    for a in range(p1 + p2 + p3 + 3):
-        for b in range(p1 + p2 + p3 + 3 - a):
-            sign_total = 0
-            if p1 < a:
-                for (i, j), sign in _telescope(a - 1 - p1, b):
-                    if i == p2 and j == p3:
-                        sign_total += sign
-            if p1 < b:
-                for (i, j), sign in _telescope(b - 1 - p1, a):
-                    if i == p2 and j == p3:
-                        sign_total += sign
-            if sign_total:
-                yield sign_total, ((a, b),)
-    # two-kernel brackets, one divided difference each
-    for bexp in range(p3 + 1):
-        aexp = p3 - bexp
-        for a in range(p1 + p2 + 2):
-            bp = p1 + p2 + 1 - a
-            if bp < 0:
-                continue
-            for (i, j), sign in _telescope(a, bp):
-                if i == p1 and j == p2:
-                    yield -sign, ((a, bexp), (aexp, bp))
-    for a in range(p1 + 1):
-        bp = p1 - a
-        for b in range(p2 + p3 + 2):
-            ap = p2 + p3 + 1 - b
-            if ap < 0:
-                continue
-            for (i, j), sign in _telescope(b, ap):
-                if i == p2 and j == p3:
-                    yield sign, ((a, b), (ap, bp))
-    for b in range(p2 + 1):
-        ap = p2 - b
-        for a in range(p1 + p3 + 2):
-            bp = p1 + p3 + 1 - a
-            if bp < 0:
-                continue
-            for (i, j), sign in _telescope(a, bp):
-                if i == p1 and j == p3:
-                    yield -sign, ((a, b), (ap, bp))
-    # three-kernel bracket: both cyclic orders, plain convolution
-    for a1 in range(p1 + 1):
-        b3 = p1 - a1
-        for b1 in range(p2 + 1):
-            a2 = p2 - b1
-            for b2 in range(p3 + 1):
-                a3 = p3 - b2
-                yield 1, ((a1, b1), (a2, b2), (a3, b3))
-    for a1 in range(p1 + 1):
-        b3 = p1 - a1
-        for b2 in range(p2 + 1):
-            a3 = p2 - b2
-            for b1 in range(p3 + 1):
-                a2 = p3 - b1
-                yield 1, ((a1, b1), (a2, b2), (a3, b3))
-
-
-def wtilde_coeff(n: int, exponents: tuple[int, ...], d: int) -> GPoly:
-    """[beta^d] of one coefficient of the connected n-point expansion."""
-    if n not in (1, 2, 3):
-        raise ValueError("the expansion is implemented for n = 1, 2, 3")
-    if len(exponents) != n:
-        raise ValueError("exponent arity mismatch")
+def wtilde_coeff(exponents: tuple[int, ...], d: int) -> GPoly:
+    """[beta^d] of the coefficient of prod_i x_i^(e_i) in W_n, n = len(exponents)."""
+    if not exponents:
+        raise ValueError("the expansion needs at least one exponent")
     if any(e < 0 for e in exponents):
-        raise RuntimeError("internal error: residual pole (negative exponent)")
-    kernel = {1: _w1, 2: _w2, 3: _w3}[n]
-    # every term of the n-point coefficient has total size sum(exponents) + n
-    return _cycle_sum(sum(exponents) + n, d, kernel(*exponents))
+        raise ValueError("exponents must be >= 0")
+    # every term has total size sum(a_i + b_i + 1) = sum(exponents) + n
+    return _cycle_sum(sum(exponents) + len(exponents), d, _expansion(tuple(exponents)))
 
 
 def connected_via_wtilde(mu: Partition, d: int) -> GPoly:
-    """Connected value for length(mu) <= 3 straight from the expansion."""
+    """Connected value for any profile straight from the expansion."""
     mu = as_partition(mu)
-    exps = tuple(m - 1 for m in mu)
-    return wtilde_coeff(len(mu), exps, d) / (math.prod(mu) * aut_of(mu))
+    return wtilde_coeff(tuple(m - 1 for m in mu), d) / (math.prod(mu) * aut_of(mu))

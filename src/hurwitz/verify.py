@@ -15,18 +15,14 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import GPoly
-from .correlator import (
-    connected_closed_form,
-    rho_coeff,
-    wtilde_coeff,
-)
+from .correlator import connected_closed_form, connected_via_wtilde, rho_coeff
 from .oracle import (
     FactorizationQuery,
     pure_hurwitz_char,
     pure_hurwitz_enum,
     weighted_from_definition,
 )
-from .partitions import aut_of, colength, nonconnected_from_connected, partitions_of
+from .partitions import colength, nonconnected_from_connected, partitions_of
 from .tables import A1_PRINTED, A2_PRINTED, A3_PRINTED, KNOWN_ERRATA, compare_tables
 from .tau import connected_any, hurwitz_any
 from .weights import WeightModel, specialize
@@ -145,27 +141,31 @@ def check_quantum_tables() -> CheckResult:
 
 
 def check_consensus(max_weight: int = 6, max_d: int = 7) -> CheckResult:
-    """Criterion 5: three-route agreement for lengths <= 3; for lengths 4
-    and 5, tau's nonconnected values against its connected ones recombined
-    by `partitions.nonconnected_from_connected`."""
+    """Criterion 5: three-route agreement (tau, closed forms, expansion) for
+    lengths <= 3; for lengths 4 and 5, tau against the expansion, and tau's
+    nonconnected values against its connected ones recombined by
+    `partitions.nonconnected_from_connected`."""
     t0 = time.perf_counter()
     failures: list[str] = []
     for mu in _profiles(max_weight, (1, 2, 3)):
-        exps = tuple(m - 1 for m in mu)
-        denom = math.prod(mu) * aut_of(mu)
         for d in range(max_d + 1):
             via_tau = connected_any(mu, d)
             via_closed = connected_closed_form(mu, d)
-            via_wtilde = wtilde_coeff(len(mu), exps, d) / denom
+            via_wtilde = connected_via_wtilde(mu, d)
             if not (via_tau == via_closed == via_wtilde):
                 failures.append(
                     f"mu={mu} d={d}: tau={via_tau} closed={via_closed} expansion={via_wtilde}"
                 )
-    # lengths 4, 5: recombine connected values over set partitions and
-    # compare with the nonconnected pipeline value (forward direction,
-    # independent of the Moebius inversion that defines connected_any)
+    # lengths 4, 5: the expansion, and the connected values recombined over
+    # set partitions against the nonconnected pipeline value (forward
+    # direction, independent of the Moebius inversion that defines
+    # connected_any)
     for mu in _profiles(max_weight, (4, 5)):
         for d in range(max_d + 1):
+            via_tau = connected_any(mu, d)
+            via_wtilde = connected_via_wtilde(mu, d)
+            if via_tau != via_wtilde:
+                failures.append(f"mu={mu} d={d}: tau={via_tau} expansion={via_wtilde}")
             if hurwitz_any(mu, d) != nonconnected_from_connected(mu, d, connected_any):
                 failures.append(f"cumulant identity fails at mu={mu} d={d}")
     return _timed("5 triple-pipeline consensus + cumulant identity", failures, "", t0)

@@ -130,6 +130,19 @@ def test_compute_wide_d_range_stops_at_the_cap(capsys):
     assert "cap exceeded" in err
 
 
+def test_oracle_checks_the_caps_first(capsys):
+    code, _, err = run_cli(capsys, "compute", "--mu", "3,2", "--d", "13",
+                           "--weights", "exp", "--pipeline", "oracle")
+    assert code == 2
+    assert "cap exceeded" in err
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "compute", "--mu", "3,2", "--d-range", "0:1000000000000",
+                           "--weights", "exp", "--pipeline", "oracle")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert "cap exceeded" in err
+
+
 def test_compute_parity_zero_is_prompt(capsys):
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, "compute", "--mu", "12", "--d", "30")
