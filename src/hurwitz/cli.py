@@ -12,13 +12,17 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from typing import Any
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble
 from .oracle import weighted_from_definition
-from .partitions import CapExceeded, parse_partition
-from .tau import DEGREE_CAP, WEIGHT_CAP, HurwitzResult, check_caps, connected_any, hurwitz_any
+from .partitions import (PARTITION_CAP, CapExceeded, Partition, as_partition,
+                         format_partition, parse_partition)
+from .qrational import QRat
+from .tau import connected_any, hurwitz_any
 from .tables import KNOWN_ERRATA, PipelineDisagreement, compare_tables, errata_report, table_ids
 from .weights import WeightModel, display, parse_model, specialize
 
@@ -28,28 +32,122 @@ EXIT_CAPS = 2
 EXIT_VERIFY = 3
 
 PIPELINES = ("auto", "correlator", "tau", "oracle")
+WEIGHT_CAP = 10
+DEGREE_CAP = 12
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """A validated compute request."""
+class HurwitzResult:
+    """One computed value, with provenance."""
 
-    mu: tuple[int, ...]
-    d_values: range
-    model: WeightModel
+    mu: Partition
+    d: int
     connected: bool
     pipeline: str
-    output: str
-    weight_cap: int
-    degree_cap: int
+    value: Any
+    model: str = "generic"
 
-    def __post_init__(self):
-        if not self.mu:
-            raise ValueError("the profile must be nonempty")
-        if self.pipeline == "oracle" and not self.model.is_numeric:
-            raise ValueError("the oracle pipeline needs a numeric weight model")
-        if self.pipeline == "correlator" and len(self.mu) > 3:
-            raise ValueError("correlator closed forms cover profile lengths 1..3; use tau")
+    def value_json(self) -> Any:
+        v = self.value
+        if isinstance(v, GPoly):
+            return v.to_json()
+        if isinstance(v, Fraction):
+            return str(v)
+        return v.to_json()
+
+    def to_json(self) -> dict:
+        return {
+            "mu": format_partition(self.mu),
+            "d": self.d,
+            "connected": self.connected,
+            "pipeline": self.pipeline,
+            "model": self.model,
+            "value": self.value_json(),
+        }
+
+    @staticmethod
+    def from_json(data: dict) -> "HurwitzResult":
+        """Inverse of `to_json`; ValueError for any malformed input.  `d` is
+        a JSON integer, `connected` a boolean, `pipeline` the name of the
+        pipeline that ran (never "auto") and the value has the kind of its
+        model: a term list (generic), a {"num", "den"} object (symbolic q)
+        or a rational string (every numeric model)."""
+        try:
+            raw, d, model = data["value"], data["d"], data.get("model", "generic")
+            weights = parse_model(model)
+            kind = list if weights.kind == "generic" else dict if weights.symbolic_q else str
+            if (type(d) is not int or type(data["connected"]) is not bool
+                    or data["pipeline"] not in PIPELINES[1:]
+                    or not isinstance(raw, kind)):
+                raise ValueError(f"bad field types, or a {type(raw).__name__} "
+                                 f"value under the model {model!r}")
+            # a generic value is homogeneous of weighted degree d
+            value = (GPoly.from_json(raw, degree=d) if kind is list else
+                     QRat.from_json(raw) if kind is dict else Fraction(raw))
+            return HurwitzResult(parse_partition(data["mu"]), d, data["connected"],
+                                 data["pipeline"], value, model)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed result: {exc!r}") from None
+
+
+def check_caps(mu: Partition, d: int, max_weight: int = WEIGHT_CAP,
+               max_degree: int = DEGREE_CAP) -> None:
+    """Raise CapExceeded if (mu, d) lies outside the request's caps."""
+    if sum(mu) > max_weight:
+        raise CapExceeded(f"|mu| = {sum(mu)} exceeds cap {max_weight}")
+    if d > max_degree:
+        raise CapExceeded(f"d = {d} exceeds cap {max_degree}")
+
+
+def _vanishes(mu: Partition, d: int, connected: bool) -> bool:
+    """Selection rules: the value is 0 when d - N - l is odd (parity), below
+    the genus-0 bound d < N + l - 2 for connected values, and below the
+    colength bound d < N - l for nonconnected ones."""
+    N, ell = sum(mu), len(mu)
+    if (d - N - ell) % 2:
+        return True
+    return d < (N + ell - 2 if connected else N - ell)
+
+
+def compute(mu: Partition, d: int, model: WeightModel = WeightModel.generic(), *,
+            connected: bool = False, pipeline: str = "auto", max_weight: int = WEIGHT_CAP,
+            max_degree: int = DEGREE_CAP) -> HurwitzResult:
+    """H^d(mu) under `model`, as `hurwitz compute` computes it.
+
+    `auto` is the correlator for profiles of length <= 3, else tau.  Both
+    caps must lie within PARTITION_CAP.  Tau and the oracle check the caps
+    and then, tau only, the selection rules; the correlator checks the
+    selection rules first, so a vanishing value of any size is 0 at once.
+    ValueError for a bad request, CapExceeded past a cap.
+    """
+    mu = as_partition(mu)
+    if not mu:
+        raise ValueError("the profile must be nonempty")
+    if pipeline not in PIPELINES:
+        raise ValueError(f"unknown pipeline {pipeline!r}; expected one of {', '.join(PIPELINES)}")
+    if pipeline == "oracle" and not model.is_numeric:
+        raise ValueError("the oracle pipeline needs a numeric weight model")
+    if pipeline == "correlator" and len(mu) > 3:
+        raise ValueError("correlator closed forms cover profile lengths 1..3; use tau")
+    for name, cap in (("weight", max_weight), ("degree", max_degree)):
+        if cap > PARTITION_CAP:
+            raise CapExceeded(f"{name} cap {cap} exceeds the ceiling {PARTITION_CAP}")
+    if pipeline == "auto":
+        pipeline = "correlator" if len(mu) <= 3 else "tau"
+    if pipeline != "correlator":
+        check_caps(mu, d, max_weight, max_degree)
+    if pipeline == "oracle":
+        value = weighted_from_definition(mu, d, model, connected=connected)
+        return HurwitzResult(mu, d, connected, "oracle", value, model.describe())
+    if _vanishes(mu, d, connected):
+        generic = GPoly.zero()
+    elif pipeline == "correlator":
+        check_caps(mu, d, max_weight, max_degree)
+        generic = connected_closed_form(mu, d) if connected else nonconnected_assemble(mu, d)
+    else:
+        generic = connected_any(mu, d) if connected else hurwitz_any(mu, d)
+    return HurwitzResult(mu, d, connected, pipeline, specialize(generic, model),
+                         model.describe())
 
 
 def default_cache_dir() -> str:
@@ -83,9 +181,9 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("--pipeline", choices=PIPELINES, default="auto")
     p_compute.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_compute.add_argument("--max-weight", type=int, default=WEIGHT_CAP,
-                           help="profile weight cap for every pipeline")
+                           help=f"profile weight cap for every pipeline, at most {PARTITION_CAP}")
     p_compute.add_argument("--max-degree", type=int, default=DEGREE_CAP,
-                           help="branching order cap for every pipeline")
+                           help=f"branching order cap for every pipeline, at most {PARTITION_CAP}")
 
     p_table = sub.add_parser("table", help="regenerate a published table")
     p_table.add_argument("which", help="one of " + ", ".join(table_ids()))
@@ -93,10 +191,9 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")
     p_verify.add_argument("--scope", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--errata-out", help="path for the errata report JSON")
-    p_verify.add_argument("--cache-dir", default=None,
-                          help="directory of the default errata report "
-                               "(default $HURWITZ_CACHE)")
+    p_verify.add_argument("--errata-out",
+                          help="path for the errata report JSON "
+                               "(default $HURWITZ_CACHE/errata.json)")
     return parser
 
 
@@ -115,56 +212,15 @@ def _d_values(args) -> range:
     return range(lo, hi + 1)
 
 
-def _vanishes(mu: tuple[int, ...], d: int, connected: bool) -> bool:
-    """Selection rules: the value is 0 when d - N - l is odd (parity), below
-    the genus-0 bound d < N + l - 2 for connected values, and below the
-    colength bound d < N - l for nonconnected ones."""
-    N, ell = sum(mu), len(mu)
-    if (d - N - ell) % 2:
-        return True
-    return d < (N + ell - 2 if connected else N - ell)
-
-
-def _compute_one(config: RunConfig, d: int) -> HurwitzResult:
-    mu, model = config.mu, config.model
-    pipeline = config.pipeline
-    if pipeline == "auto":
-        pipeline = "correlator" if len(mu) <= 3 else "tau"
-    if pipeline in ("tau", "oracle"):   # caps come before the selection rules
-        check_caps(mu, d, config.weight_cap, config.degree_cap)
-    if pipeline == "oracle":
-        value = weighted_from_definition(mu, d, model, connected=config.connected)
-        return HurwitzResult(mu, d, config.connected, "oracle", value, model.describe())
-    if _vanishes(mu, d, config.connected):
-        generic = GPoly.zero()
-    elif pipeline == "correlator":   # after them: a vanishing value of any size prints 0
-        check_caps(mu, d, config.weight_cap, config.degree_cap)
-        generic = (connected_closed_form(mu, d) if config.connected
-                   else nonconnected_assemble(mu, d))
-    elif config.connected:
-        generic = connected_any(mu, d, config.weight_cap, config.degree_cap)
-    else:
-        generic = hurwitz_any(mu, d, config.weight_cap, config.degree_cap)
-    return HurwitzResult(mu, d, config.connected, pipeline, specialize(generic, model),
-                         model.describe())
-
-
 def cmd_compute(args) -> int:
-    config = RunConfig(
-        mu=parse_partition(args.mu),
-        d_values=_d_values(args),
-        model=parse_model(args.weights),
-        connected=args.connected,
-        pipeline=args.pipeline,
-        output=args.format,
-        weight_cap=args.max_weight,
-        degree_cap=args.max_degree,
-    )
-    results = [_compute_one(config, d) for d in config.d_values]
+    mu, d_values, model = parse_partition(args.mu), _d_values(args), parse_model(args.weights)
+    results = [compute(mu, d, model, connected=args.connected, pipeline=args.pipeline,
+                       max_weight=args.max_weight, max_degree=args.max_degree)
+               for d in d_values]
 
-    if config.output == "json":
+    if args.format == "json":
         print(json.dumps([r.to_json() for r in results], indent=2))
-    elif config.output == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["mu", "d", "connected", "model", "pipeline", "value"])
         for r in results:
@@ -209,8 +265,7 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    out_path = args.errata_out or os.path.join(
-        args.cache_dir or default_cache_dir(), "errata.json")
+    out_path = args.errata_out or os.path.join(default_cache_dir(), "errata.json")
     # open the report before the suite runs, so an unwritable path fails at once
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w") as fh:

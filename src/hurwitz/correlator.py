@@ -164,7 +164,8 @@ def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
 # -- direct expansion of the connected n-point functions -----------------
 
 
-def _expansion(exponents: tuple[int, ...]) -> list[Term]:
+@lru_cache(maxsize=None)
+def _expansion(exponents: tuple[int, ...]) -> tuple[Term, ...]:
     """Terms of the coefficient of prod_i x_i^(e_i) in the connected n-point
     function W_n = (-1)^(n+1) sum over cyclic orders sigma of
     prod_i K(x_i, x_sigma(i)), where K(x, y) = 1/(x - y) + R(x, y) and
@@ -176,7 +177,8 @@ def _expansion(exponents: tuple[int, ...]) -> list[Term]:
     i < j and +sum_k x_j^k x_i^(-k-1) for i > j.  An all-pole product has
     degree -n and never contributes.  Poles are taken in order of their
     larger index, so each k is bounded by what the smaller vertex has left;
-    each vertex then splits what it has left between its R edges.
+    each vertex then splits what it has left between its R edges.  The
+    terms do not depend on d, so they are built once per exponent tuple.
     """
     n = len(exponents)
     signs: Counter = Counter()
@@ -209,7 +211,7 @@ def _expansion(exponents: tuple[int, ...]) -> list[Term]:
                         key = tuple(sorted((split[t][0], split[(t + 1) % n][1])
                                            for t in range(n) if r[t]))
                         signs[key] += sign
-    return [(c, key) for key, c in signs.items() if c]
+    return tuple((c, key) for key, c in signs.items() if c)
 
 
 def wtilde_coeff(exponents: tuple[int, ...], d: int) -> GPoly:

@@ -26,45 +26,32 @@ connected,
                  sum over k of psi(B, k) * phi(mu minus B, d - k),
 
 where equal (block, rest) multiset pairs are summed once with their count.
+
+Both value functions are kept per process on (sorted mu, d) alone
+(`partitions.partition_cache`); the size caps of a request are checked
+before it reaches them, by `cli.compute`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Any
 
 from .algebra import GPoly
 from .partitions import (
-    CapExceeded,
     Partition,
     as_partition,
     aut_of,
     character,
     contents,
-    format_partition,
     hook_product,
     partition_cache,
     partitions_of,
     z_of,
 )
 from .series import power_products, rhos, to_gpoly
-
-WEIGHT_CAP = 10
-DEGREE_CAP = 12
-
-
-def check_caps(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
-               degree_cap: int = DEGREE_CAP) -> None:
-    """Raise CapExceeded if (mu, d) lies outside the pipeline's caps."""
-    if sum(mu) > weight_cap:
-        raise CapExceeded(f"|mu| = {sum(mu)} exceeds cap {weight_cap}")
-    if d > degree_cap:
-        raise CapExceeded(f"d = {d} exceeds cap {degree_cap}")
 
 
 @lru_cache(maxsize=None)
@@ -76,10 +63,8 @@ def content_powers(lam: Partition, d: int) -> tuple[int, ...]:
 
 
 @partition_cache
-def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
-                degree_cap: int = DEGREE_CAP) -> GPoly:
+def hurwitz_any(mu: Partition, d: int) -> GPoly:
     """Nonconnected generic value for any profile length."""
-    check_caps(mu, d, weight_cap, degree_cap)
     if d < 0:
         raise ValueError("d must be >= 0")
     N = sum(mu)
@@ -96,8 +81,7 @@ def hurwitz_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
 
 
 @partition_cache
-def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
-                  degree_cap: int = DEGREE_CAP) -> GPoly:
+def connected_any(mu: Partition, d: int) -> GPoly:
     """Connected value for any profile length, by the exponential formula.
 
     Labeled values phi(parts) := |aut(parts)| * H(parts) and psi(parts) :=
@@ -107,7 +91,7 @@ def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
     n = len(mu)
     if n == 0:
         return GPoly.one() if d == 0 else GPoly.zero()
-    acc = hurwitz_any(mu, d, weight_cap, degree_cap).scale(aut_of(mu))
+    acc = hurwitz_any(mu, d).scale(aut_of(mu))
     # blocks holding label 0 other than mu itself, grouped by the multiset
     # pair (block, rest) they split mu into; both keep mu's decreasing order
     pairs: Counter[tuple[Partition, Partition]] = Counter()
@@ -119,17 +103,16 @@ def connected_any(mu: Partition, d: int, weight_cap: int = WEIGHT_CAP,
     for (block, rest), count in pairs.items():
         aut_block, aut_rest = aut_of(block), aut_of(rest)
         for k in range(d + 1):
-            tail = hurwitz_any(rest, d - k, weight_cap, degree_cap)
+            tail = hurwitz_any(rest, d - k)
             if not tail:
                 continue
-            head = connected_any(block, k, weight_cap, degree_cap)
+            head = connected_any(block, k)
             if head:
                 acc = acc - (head * tail).scale(count * aut_block * aut_rest)
     return acc / aut_of(mu)
 
 
-def genus_slice(g: int, mu: Partition, weight_cap: int = WEIGHT_CAP,
-                degree_cap: int = DEGREE_CAP) -> GPoly:
+def genus_slice(g: int, mu: Partition) -> GPoly:
     """Connected value at branching order d = 2g - 2 + length + weight."""
     if g < 0:
         raise ValueError("genus must be >= 0")
@@ -137,62 +120,4 @@ def genus_slice(g: int, mu: Partition, weight_cap: int = WEIGHT_CAP,
     d = 2 * g - 2 + len(mu) + sum(mu)
     if d < 0:
         return GPoly.zero()
-    return connected_any(mu, d, weight_cap, degree_cap)
-
-
-@dataclass(frozen=True)
-class HurwitzResult:
-    """One computed value, with provenance."""
-
-    mu: Partition
-    d: int
-    connected: bool
-    pipeline: str
-    value: Any
-    model: str = "generic"
-
-    def value_json(self) -> Any:
-        v = self.value
-        if isinstance(v, GPoly):
-            return v.to_json()
-        if isinstance(v, Fraction):
-            return str(v)
-        return v.to_json()
-
-    def to_json(self) -> dict:
-        return {
-            "mu": format_partition(self.mu),
-            "d": self.d,
-            "connected": self.connected,
-            "pipeline": self.pipeline,
-            "model": self.model,
-            "value": self.value_json(),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "HurwitzResult":
-        """Inverse of `to_json`; ValueError for any malformed input.  `d` is
-        a JSON integer, `connected` a boolean, `pipeline` a pipeline's name
-        and the value has the kind of
-        its model: a term list (generic), a {"num", "den"} object (symbolic
-        q) or a rational string (every numeric model)."""
-        from .partitions import parse_partition
-        from .qrational import QRat
-        from .weights import parse_model
-
-        try:
-            raw, d, model = data["value"], data["d"], data.get("model", "generic")
-            weights = parse_model(model)
-            kind = list if weights.kind == "generic" else dict if weights.symbolic_q else str
-            if (type(d) is not int or type(data["connected"]) is not bool
-                    or data["pipeline"] not in ("correlator", "tau", "oracle")
-                    or not isinstance(raw, kind)):
-                raise ValueError(f"bad field types, or a {type(raw).__name__} "
-                                 f"value under the model {model!r}")
-            # a generic value is homogeneous of weighted degree d
-            value = (GPoly.from_json(raw, degree=d) if kind is list else
-                     QRat.from_json(raw) if kind is dict else Fraction(raw))
-            return HurwitzResult(parse_partition(data["mu"]), d, data["connected"],
-                                 data["pipeline"], value, model)
-        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed result: {exc!r}") from None
+    return connected_any(mu, d)

@@ -1,6 +1,6 @@
 """The top-level package exports exactly its documented public API, the
-three pipelines import none of each other's modules, and the shared modules
-import no pipeline."""
+three pipelines import none of each other's modules nor the request policy,
+and the shared modules import no pipeline."""
 
 import ast
 from fractions import Fraction
@@ -10,6 +10,8 @@ import hurwitz
 
 PIPELINES = ("tau", "correlator", "oracle")
 SHARED = ("algebra", "series", "partitions", "qrational", "weights")
+# the request policy: the size caps and the pipeline names live in `cli` only
+POLICY = {"WEIGHT_CAP", "DEGREE_CAP", "check_caps", "HurwitzResult", "PIPELINES"}
 
 
 def test_all_names_resolve():
@@ -18,9 +20,12 @@ def test_all_names_resolve():
 
 
 def test_readme_quick_tour():
-    from hurwitz import (QRat, WeightModel, connected_any, hurwitz_any, specialize,
+    from hurwitz import (QRat, WeightModel, compute, connected_any, hurwitz_any, specialize,
                          weighted_from_definition)
 
+    res = compute((2, 1), 3, WeightModel.exponential(), connected=True)
+    assert (res.pipeline, res.value) == ("correlator", Fraction(2, 3))
+    assert str(compute((2, 1), 3).value) == "3/2*g3 + g1*g2"
     h = hurwitz_any((2, 1), 3)
     assert str(h) == "3/2*g3 + g1*g2"
     hc = connected_any((2, 1), 3)
@@ -36,10 +41,30 @@ def test_readme_quick_tour():
     assert weighted_from_definition((2, 1), 3, third, connected=True) == Fraction(891, 208)
 
 
+def _tree(module):
+    return ast.parse((Path(hurwitz.__file__).parent / f"{module}.py").read_text())
+
+
+def _identifiers(module):
+    """Every name the module defines, assigns, imports or reads."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(part for name in (node.name, node.asname) if name
+                         for part in name.split("."))
+    return found
+
+
 def _imports(module):
     """(imported hurwitz module, enclosing function) for every import in
     the module, at any nesting level."""
-    tree = ast.parse((Path(hurwitz.__file__).parent / f"{module}.py").read_text())
+    tree = _tree(module)
     found = []
 
     def visit(node, func):
@@ -72,8 +97,11 @@ def test_pipelines_are_independent():
         assert not names & (set(PIPELINES) - {module}), (module, names)
         # tau and the correlator share only Newton's identity, in `series`
         assert ("series" in names) == (module != "oracle"), (module, names)
-    # the published tables read every pipeline, so no pipeline reads them
-    assert all(name != "tables" for found in imports.values() for name, _ in found)
+    # the published tables and the CLI read every pipeline, so no pipeline
+    # reads them, nor the request policy the CLI holds
+    assert all(name not in ("tables", "cli") for found in imports.values() for name, _ in found)
+    for module in PIPELINES:
+        assert not _identifiers(module) & POLICY, module
     # every pipeline reads the shared modules, so they read no pipeline and
     # nothing built on the pipelines
     for module in SHARED:

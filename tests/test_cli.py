@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from hurwitz import cli, tables
+from hurwitz import HurwitzResult, cli, tables
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.correlator import connected_closed_form, nonconnected_assemble
 from hurwitz.partitions import partitions_of
-from hurwitz.tau import HurwitzResult, connected_any, hurwitz_any
+from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import parse_model, specialize
 
 
@@ -141,6 +141,25 @@ def test_oracle_checks_the_caps_first(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 2
     assert "cap exceeded" in err
+
+
+def test_raised_caps_stop_at_the_ceiling(capsys):
+    # an exact value this large would not even print: the request is
+    # refused before anything is computed
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", "--mu", "3,2", "--d", "2001", "--weights", "exp",
+                             "--pipeline", "oracle", "--max-degree", "2001")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["hurwitz: cap exceeded: degree cap 2001 exceeds the ceiling 30"]
+    # the ceiling comes before the selection rules: a correlator zero too
+    code, out, err = run_cli(capsys, "compute", "--mu", "12", "--d", "30", "--max-weight", "31")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["hurwitz: cap exceeded: weight cap 31 exceeds the ceiling 30"]
+    code, out, _ = run_cli(capsys, "compute", "--mu", "12", "--d", "30",
+                           "--max-weight", "30", "--max-degree", "30")
+    assert code == 0
+    assert out.strip().endswith("= 0")
 
 
 def test_compute_parity_zero_is_prompt(capsys):
@@ -337,14 +356,10 @@ def test_table_unknown(capsys):
 
 def test_verify_quick(tmp_path, capsys):
     errata_path = tmp_path / "errata.json"
-    cache_dir = tmp_path / "cache"
     code, out, _ = run_cli(capsys, "verify", "--scope", "quick",
-                           "--cache-dir", str(cache_dir),
                            "--errata-out", str(errata_path))
     assert code == 0
     assert "all checks passed" in out
-    # the cache directory only locates the default report: nothing is written there
-    assert not cache_dir.exists()
     report = json.loads(errata_path.read_text())
     assert any(e["table"] == "A3" and e["cell"] == "(0,2)" for e in report)
 

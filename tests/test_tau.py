@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 
+from hurwitz import HurwitzResult, compute
 from hurwitz.algebra import GPoly
 from hurwitz.partitions import (
     CapExceeded,
@@ -18,7 +19,6 @@ from hurwitz.partitions import (
 )
 from hurwitz.series import rhos, to_gpoly
 from hurwitz.tau import (
-    HurwitzResult,
     connected_any,
     content_powers,
     genus_slice,
@@ -146,11 +146,12 @@ def test_genus_slice():
 
 
 def test_caps():
+    # tau requests check the caps before the selection rules
     with pytest.raises(CapExceeded):
-        hurwitz_any((11,), 1)
+        compute((11,), 1, pipeline="tau")
     with pytest.raises(CapExceeded):
-        hurwitz_any((2,), 13)
-    assert hurwitz_any((2,), 13, degree_cap=13) == g(13).scale(half)
+        compute((2,), 13, pipeline="tau")
+    assert compute((2,), 13, pipeline="tau", max_degree=13).value == g(13).scale(half)
 
 
 def test_values_are_sorted_insensitive():
@@ -175,6 +176,25 @@ def test_value_caches_key_on_the_sorted_profile():
         assert connected_any.cache_info().currsize == entries
     assert connected_any([3, 1], 6) == connected_any((3, 1), 6) == want
     assert connected_any.cache_info().currsize == entries
+
+
+def test_one_cache_entry_per_value():
+    # values are keyed on (sorted mu, d) alone: the connected recursion,
+    # a direct call and a capped request read the same entries
+    mu, d = (2, 2, 1), 6
+    hurwitz_any.cache_clear()
+    connected_any.cache_clear()
+    connected_any(mu, d)
+    before = hurwitz_any.cache_info()
+    hurwitz_any(mu, d)
+    after = hurwitz_any.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    hurwitz_any.cache_clear()
+    result = compute(mu, d, pipeline="tau")
+    assert hurwitz_any(mu, d) is result.value
+    assert hurwitz_any.cache_info().currsize == 1
+    connected = compute(mu, d, connected=True, pipeline="tau", max_weight=5, max_degree=6)
+    assert connected.value is connected_any([1, 2, 2], d)
 
 
 def test_result_json_round_trip():
