@@ -120,6 +120,8 @@ def compute(mu: Partition, d: int, model: WeightModel = WeightModel.generic(), *
     selection rules first, so a vanishing value of any size is 0 at once.
     ValueError for a bad request, CapExceeded past a cap.
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     mu = as_partition(mu)
     if not mu:
         raise ValueError("the profile must be nonempty")
@@ -200,8 +202,6 @@ def _build_parser() -> _Parser:
 def _d_values(args) -> range:
     # lazy and ascending: a wide range costs nothing until the caps stop it
     if args.d is not None:
-        if args.d < 0:
-            raise ValueError("d must be >= 0")
         return range(args.d, args.d + 1)
     try:
         lo, hi = map(int, args.d_range.split(":"))

@@ -7,37 +7,40 @@ Polynomials, I.2):
 
     [beta^d] prod_i G(m_i beta) = sum over rho |- d of b^rho p_rho(m) / z_rho.
 
-Newton's identity n g_n = sum_{k=1}^{n} b_k g_{n-k} makes each b_k, hence
-each b^rho = prod over the parts k of rho of b_k, an integer polynomial in
-the g.  Tau sums integer vectors over rho |- d (in `rhos(d)` order) over
-Young diagrams, the correlator over the terms of a cycle sum; `to_gpoly`
-converts such a sum to g once, in Python ints, dividing once.
+Newton's identity n g_n = sum_{k=1}^{n} b_k g_{n-k} makes each b_k an
+integer polynomial in the g.  Tau sums integer vectors over rho |- d (in
+`rhos(d)` order) over Young diagrams, the correlator over the terms of a
+cycle sum; `to_gpoly` converts such a sum to g once, in Python ints,
+dividing once.  It runs Horner's rule on the trie of the partitions, one
+b_k per edge (the p -> h change of basis, Macdonald I.6), and keeps no
+per-rho table.  Inside this module a monomial g_nu is the integer
+sum_k m_k(nu) 256^(k-1) (a multiplicity is at most PARTITION_CAP < 256),
+so a product of monomials is one addition.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import GPoly
-from .partitions import Partition, as_partition, partitions_of, z_of
+from .partitions import Partition, partitions_of, z_of
 
 
 @lru_cache(maxsize=None)
 def rhos(d: int) -> tuple[Partition, ...]:
     """The partitions of d in reverse-lexicographic order: the order of the
-    vectors over rho |- d and of the monomials g_nu, nu |- d."""
+    vectors over rho |- d, and the depth-first order of their trie."""
     return tuple(partitions_of(d))
 
 
 @lru_cache(maxsize=None)
-def _degree(d: int) -> tuple[dict[Partition, int], list[int], list[tuple[int, ...]]]:
-    """For rhos(d): the position of each partition, the integers d!/z_rho,
-    and the exponent tuple of each monomial g_nu."""
+def _degree(d: int) -> tuple[dict[Partition, int], list[int]]:
+    """For rhos(d): the position of each partition and the integers d!/z_rho."""
     fact = math.factorial(d)
-    return ({r: j for j, r in enumerate(rhos(d))}, [fact // z_of(r) for r in rhos(d)],
-            [tuple(r.count(k) for k in range(1, r[0] + 1)) if r else () for r in rhos(d)])
+    return {r: j for j, r in enumerate(rhos(d))}, [fact // z_of(r) for r in rhos(d)]
 
 
 @lru_cache(maxsize=None)
@@ -55,41 +58,42 @@ def power_products(p: Sequence[int], d: int) -> list[int]:
     return out[d]
 
 
+def exponent(code: int) -> tuple[int, ...]:
+    """The stripped exponent tuple of the monomial g_nu with this code."""
+    return tuple(code.to_bytes((code.bit_length() + 7) // 8, "little"))
+
+
 @lru_cache(maxsize=None)
-def b_terms(k: int) -> dict[Partition, int]:
-    """b_k = k g_k - sum_{j<k} b_j g_{k-j} as {nu: coefficient of g_nu}."""
-    out = {(k,): k}
+def b_terms(k: int) -> dict[int, int]:
+    """b_k = k g_k - sum_{j<k} b_j g_{k-j} as {code of g_nu: coefficient}."""
+    out = {1 << 8 * (k - 1): k}
     for j in range(1, k):
+        g = 1 << 8 * (k - j - 1)
         for nu, c in b_terms(j).items():
-            nu = as_partition(nu + (k - j,))
-            out[nu] = out.get(nu, 0) - c
+            out[nu + g] = out.get(nu + g, 0) - c
     return out
 
 
-@lru_cache(maxsize=None)
-def b_power(rho: Partition) -> tuple[tuple[int, int], ...]:
-    """b^rho as (j, c) pairs, c the coefficient of g_nu for nu =
-    rhos(|rho|)[j]; built from the cached b^(rho minus its last part)."""
-    if not rho:
-        return ((0, 1),)
-    k, d = rho[-1], sum(rho)
-    lower, index = rhos(d - k), _degree(d)[0]
+def _horner(n: int, top: int, u: Iterator[int]) -> Iterable[tuple[int, int]]:
+    """S(n, top) = sum of u_rho b^rho over rho |- n with parts <= top, as
+    (code, coefficient) pairs, read from u in `rhos` order: the sum over
+    k <= top of b_k S(n - k, min(k, n - k))."""
+    if top <= 1:                        # only rho = (1^n), and b_1^n = g_1^n
+        x = next(u)
+        return ((n, x),) if x else ()
     acc: dict[int, int] = {}
-    for j, c in b_power(rho[:-1]):
-        for nu, c2 in b_terms(k).items():
-            i = index[as_partition(lower[j] + nu)]
-            acc[i] = acc.get(i, 0) + c * c2
-    return tuple((i, c) for i, c in acc.items() if c)
+    get = acc.get
+    for k in range(top, 0, -1):
+        bk = b_terms(k).items()
+        for c1, x in _horner(n - k, min(k, n - k), u):
+            for c2, y in bk:
+                c = c1 + c2
+                acc[c] = get(c, 0) + x * y
+    return acc.items()
 
 
 def to_gpoly(v: Sequence[int], d: int, den: int = 1) -> GPoly:
     """sum over rho |- d of v_rho b^rho / z_rho, divided by den, for an
     integer vector v in `rhos(d)` order."""
-    _, weights, exps = _degree(d)
-    acc = [0] * len(v)
-    for rho, x, w in zip(rhos(d), v, weights):
-        if x:
-            x *= w
-            for j, c in b_power(rho):
-                acc[j] += x * c
-    return GPoly.from_int_terms(dict(zip(exps, acc)), den * math.factorial(d))
+    s = _horner(d, d, map(mul, v, _degree(d)[1]))     # u_rho = v_rho d!/z_rho
+    return GPoly.from_int_terms({exponent(c): x for c, x in s}, den * math.factorial(d))

@@ -4,11 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from hurwitz import HurwitzResult, cli, tables
+import hurwitz
+from hurwitz import HurwitzResult, cli, compute, tables
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.correlator import connected_closed_form, nonconnected_assemble
@@ -38,6 +43,39 @@ def test_json_output_bytes_are_pinned(capsys):
                     digest.update(out.encode())
     assert digest.hexdigest() == (
         "12fdf6d85872f2c679a8db2459057337784c4ef9496ccdba6fa2f9aab2659fcb")
+
+
+def test_json_output_bytes_above_the_degree_cap_are_pinned(capsys):
+    # three requests between the default caps and the ceiling, as one digest
+    digest = hashlib.sha256()
+    for request in (("--mu", "8,8", "--d", "18"), ("--mu", "6,5,5", "--d", "17", "--connected"),
+                    ("--mu", "16", "--d", "17")):
+        code, out, _ = run_cli(capsys, "compute", *request, "--max-weight", "30",
+                               "--max-degree", "30", "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "7192c8ec5b6b34911c245620670f6857c70476c70d715f29e0a75663f9f60e1c")
+
+
+@pytest.mark.parametrize("pipeline", cli.PIPELINES)
+def test_negative_d_is_a_usage_error(capsys, pipeline):
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        compute((2,), -1, parse_model("exp"), pipeline=pipeline)
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "-1", "--weights", "exp",
+                             "--pipeline", pipeline)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["hurwitz: error: d must be >= 0"]
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(hurwitz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "hurwitz", "compute", "--mu", "2", "--d", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("H^1(2) nonconnected [generic, correlator] = ")
 
 
 def test_compute_connected_generic(capsys):

@@ -20,7 +20,7 @@ from hurwitz.correlator import (
     wtilde_coeff,
 )
 from hurwitz.partitions import nonconnected_from_connected, partitions_of
-from hurwitz.series import b_power, b_terms
+from hurwitz.series import b_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
 g = GPoly.var
@@ -177,7 +177,7 @@ def test_sweep_orders_agree_with_tau_in_any_question_order():
     # coefficient caches and then low-to-high: cached lower coefficients
     # must be the same whichever order filled them; the value caches are
     # emptied before each pass, so every value is computed again
-    for cache in (b_terms, b_power, rho_coeff, _factor):
+    for cache in (b_terms, rho_coeff, _factor):
         cache.cache_clear()
     for orders in (range(12, 7, -1), range(8, 13)):
         connected_closed_form.cache_clear()

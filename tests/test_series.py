@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+from hurwitz import series
 from hurwitz.algebra import GPoly
-from hurwitz.partitions import partitions_of
-from hurwitz.series import b_power, b_terms, power_products, rhos, to_gpoly
+from hurwitz.partitions import partitions_of, z_of
+from hurwitz.series import b_terms, exponent, power_products, rhos, to_gpoly
 
 g = GPoly.var
 
@@ -85,24 +86,43 @@ def _naive_log_coeffs(order: int) -> list[GPoly]:
     return out
 
 
-def _in_g(pairs) -> GPoly:
-    """sum of c * g_nu over (nu, c) pairs."""
-    return sum((math.prod((g(k) for k in nu), start=GPoly.const(c)) for nu, c in pairs),
-               GPoly.zero())
+def _b(k: int) -> GPoly:
+    """b_k in g, decoded from its monomial codes."""
+    return GPoly({exponent(code): c for code, c in b_terms(k).items()})
 
 
 def test_newton_b_matches_log_coefficients():
     logs = _naive_log_coeffs(7)
     for k in range(1, 8):
-        assert _in_g(b_terms(k).items()) == logs[k].scale(k), k
+        assert _b(k) == logs[k].scale(k), k
 
 
-def test_power_products_and_b_power_follow_rho():
-    for d in range(9):
+def test_power_products_and_to_gpoly_follow_rho():
+    b = [GPoly.one()] + [_b(k) for k in range(1, 10)]
+    for d in range(10):
         assert rhos(d) == tuple(partitions_of(d))
         rng = random.Random(d)
         p = [rng.randint(-9, 9) for _ in range(d)]
         assert power_products(p, d) == [math.prod(p[k - 1] for k in rho) for rho in rhos(d)]
-        for rho in rhos(d):
-            want = math.prod((_in_g(b_terms(k).items()) for k in rho), start=GPoly.one())
-            assert _in_g((rhos(d)[j], c) for j, c in b_power(rho)) == want, rho
+        # dense, mostly zero and zero vectors against sum of v_rho prod b_k / z_rho
+        n = len(rhos(d))
+        for v in ([rng.randint(-9, 9) for _ in range(n)],
+                  [rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)],
+                  [0] * n):
+            want = sum((math.prod((b[k] for k in rho), start=GPoly.const(Fraction(x, z_of(rho))))
+                        for rho, x in zip(rhos(d), v)), GPoly.zero())
+            assert to_gpoly(v, d, 3) == want.scale(Fraction(1, 3)), (d, v)
+
+
+def test_series_state_stays_bounded():
+    # the conversion keeps no table per rho: every cache holds at most one
+    # entry per degree or part
+    caches = [f for f in vars(series).values()
+              if hasattr(f, "cache_info") and f.__module__ == series.__name__]
+    for cache in caches:
+        cache.cache_clear()
+    d = 20
+    rng = random.Random(d)
+    assert to_gpoly([rng.randint(-9, 9) or 1 for _ in rhos(d)], d).is_homogeneous(d)
+    assert caches and all(f.cache_info().currsize <= d + 1 for f in caches), \
+        {f.__name__: f.cache_info().currsize for f in caches}
