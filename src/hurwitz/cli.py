@@ -67,25 +67,26 @@ class HurwitzResult:
 
     @staticmethod
     def from_json(data: dict) -> "HurwitzResult":
-        """Inverse of `to_json`; ValueError for any malformed input.  `d` is
-        a JSON integer, `connected` a boolean, `pipeline` the name of the
-        pipeline that ran (never "auto") and the value has the kind of its
-        model: a term list (generic), a {"num", "den"} object (symbolic q)
-        or a rational string (every numeric model)."""
+        """Inverse of `to_json`; ValueError for any malformed input.  `mu` is
+        a nonempty profile, `d` a JSON integer >= 0, `connected` a boolean,
+        `pipeline` the name of the pipeline that ran (never "auto") and the
+        value has the kind of its model: a term list (generic), a {"num",
+        "den"} object (symbolic q) or a rational string (every numeric
+        model)."""
         try:
             raw, d, model = data["value"], data["d"], data.get("model", "generic")
             weights = parse_model(model)
             kind = list if weights.kind == "generic" else dict if weights.symbolic_q else str
-            if (type(d) is not int or type(data["connected"]) is not bool
+            mu = parse_partition(data["mu"])
+            if (not mu or type(d) is not int or d < 0 or type(data["connected"]) is not bool
                     or data["pipeline"] not in PIPELINES[1:]
                     or not isinstance(raw, kind)):
-                raise ValueError(f"bad field types, or a {type(raw).__name__} "
+                raise ValueError(f"bad field types or values, or a {type(raw).__name__} "
                                  f"value under the model {model!r}")
             # a generic value is homogeneous of weighted degree d
             value = (GPoly.from_json(raw, degree=d) if kind is list else
                      QRat.from_json(raw) if kind is dict else Fraction(raw))
-            return HurwitzResult(parse_partition(data["mu"]), d, data["connected"],
-                                 data["pipeline"], value, model)
+            return HurwitzResult(mu, d, data["connected"], data["pipeline"], value, model)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed result: {exc!r}") from None
 
@@ -115,7 +116,7 @@ def compute(mu: Partition, d: int, model: WeightModel = WeightModel.generic(), *
     """H^d(mu) under `model`, as `hurwitz compute` computes it.
 
     `auto` is the correlator for profiles of length <= 3, else tau.  Both
-    caps must lie within PARTITION_CAP.  Tau and the oracle check the caps
+    caps must lie in 0..PARTITION_CAP.  Tau and the oracle check the caps
     and then, tau only, the selection rules; the correlator checks the
     selection rules first, so a vanishing value of any size is 0 at once.
     ValueError for a bad request, CapExceeded past a cap.
@@ -132,6 +133,8 @@ def compute(mu: Partition, d: int, model: WeightModel = WeightModel.generic(), *
     if pipeline == "correlator" and len(mu) > 3:
         raise ValueError("correlator closed forms cover profile lengths 1..3; use tau")
     for name, cap in (("weight", max_weight), ("degree", max_degree)):
+        if cap < 0:
+            raise ValueError(f"{name} cap must be >= 0")
         if cap > PARTITION_CAP:
             raise CapExceeded(f"{name} cap {cap} exceeds the ceiling {PARTITION_CAP}")
     if pipeline == "auto":

@@ -11,9 +11,10 @@ values).  The coefficients satisfy rho^d_{ab} = (-1)^{a+b+d} rho^d_{ba}.
 Every sum here is a cycle sum of products of rho coefficients whose sizes
 a_i + b_i + 1 add up to N = |mu|.  A bracket depends on its multipliers
 only through their power sums s_k(a, b) = sum_{i=-b}^{a} i^k, which add
-under products (`series`), and each term's scalar is an integer over N!,
-so a cycle sum is one integer vector over rho |- d, converted to g once
-(`_cycle_sum`); `rho_coeff` is the one-term case.
+under products, and each term's scalar is an integer over N!, so a cycle
+sum is a list of (integer weight, power-sum vector) pairs that
+`series.power_sum_total` adds up and converts to g once (`_cycle_sum`);
+`rho_coeff` is the one-term case.
 
 Three consumers:
 
@@ -47,20 +48,18 @@ from typing import Iterable
 from .algebra import GPoly
 from .partitions import (Partition, as_partition, aut_of, nonconnected_from_connected,
                          partition_cache)
-from .series import power_products, rhos, to_gpoly
+from .series import power_sum_total
 
 # A term (c, ((a_1, b_1), ...)) of a cycle sum stands for c * prod_i rho_{a_i b_i}.
 Term = tuple[int, tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=None)
-def _factor(a: int, b: int, d: int) -> tuple[int, tuple[int, ...], list[int]]:
-    """rho_ab's scalar as 1/den, den = (-1)^b a! b! (a+b+1); the power sums
-    s_k = sum_{i=-b}^{a} i^k of its multipliers, k = 1..d; and their
-    products p_rho(s) over rho |- d."""
+def _factor(a: int, b: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """rho_ab's scalar as 1/den, den = (-1)^b a! b! (a+b+1), and the power
+    sums s_k = sum_{i=-b}^{a} i^k of its multipliers, k = 1..d."""
     den = (-1) ** b * math.factorial(a) * math.factorial(b) * (a + b + 1)
-    s = tuple(sum(i ** k for i in range(-b, a + 1)) for k in range(1, d + 1))
-    return den, s, power_products(s, d)
+    return den, tuple(sum(i ** k for i in range(-b, a + 1)) for k in range(1, d + 1))
 
 
 def _cycle_sum(N: int, d: int, terms: Iterable[Term], den: int = 1) -> GPoly:
@@ -69,18 +68,17 @@ def _cycle_sum(N: int, d: int, terms: Iterable[Term], den: int = 1) -> GPoly:
     The sizes n_i = a_i + b_i + 1 of every term add up to N, so each term's
     scalar c / prod_i den_i (see `_factor`) is an integer over N! (N! /
     prod_i n_i! and each C(a_i + b_i, a_i) are integers), and its weight
-    factors have the summed power sums of its factors: the whole sum is one
-    integer vector over rho |- d, converted to g once.
+    factors have the summed power sums of its factors.
     """
     fact = math.factorial(N)
-    acc = [0] * len(rhos(d))
-    for c, factors in terms:
-        parts = [_factor(a, b, d) for a, b in factors]
-        w = c * fact // math.prod(den_i for den_i, _, _ in parts)
-        products = parts[0][2] if len(parts) == 1 else power_products(
-            [sum(s) for s in zip(*(s for _, s, _ in parts))], d)
-        acc = [x + w * y for x, y in zip(acc, products)]
-    return to_gpoly(acc, d, den * fact)
+
+    def weighted():
+        for c, factors in terms:
+            parts = [_factor(a, b, d) for a, b in factors]
+            yield (c * fact // math.prod(den_i for den_i, _ in parts),
+                   map(sum, zip(*(s for _, s in parts))))
+
+    return power_sum_total(weighted(), d, den * fact)
 
 
 @lru_cache(maxsize=None)

@@ -8,14 +8,17 @@ Polynomials, I.2):
     [beta^d] prod_i G(m_i beta) = sum over rho |- d of b^rho p_rho(m) / z_rho.
 
 Newton's identity n g_n = sum_{k=1}^{n} b_k g_{n-k} makes each b_k an
-integer polynomial in the g.  Tau sums integer vectors over rho |- d (in
-`rhos(d)` order) over Young diagrams, the correlator over the terms of a
-cycle sum; `to_gpoly` converts such a sum to g once, in Python ints,
-dividing once.  It runs Horner's rule on the trie of the partitions, one
-b_k per edge (the p -> h change of basis, Macdonald I.6), and keeps no
-per-rho table.  Inside this module a monomial g_nu is the integer
-sum_k m_k(nu) 256^(k-1) (a multiplicity is at most PARTITION_CAP < 256),
-so a product of monomials is one addition.
+integer polynomial in the g.  Tau (over Young diagrams) and the correlator
+(over the terms of a cycle sum) hand `power_sum_total` integer weights w
+with power-sum vectors s = (p_1(m), ..., p_d(m)); it adds up the weights
+of equal s, expands each distinct s into its products p_rho(m) over
+rho |- d (in `rhos(d)` order) and converts the weighted sum to g once
+(`to_gpoly`), in Python ints, dividing once.  The conversion runs Horner's
+rule on the trie of the partitions, one b_k per edge (the p -> h change of
+basis, Macdonald I.6); no vector over rho outlives the call.  Inside this
+module a monomial g_nu is the integer sum_k m_k(nu) 256^(k-1) (a
+multiplicity is at most PARTITION_CAP < 256), so a product of monomials
+is one addition.
 """
 
 from __future__ import annotations
@@ -97,3 +100,18 @@ def to_gpoly(v: Sequence[int], d: int, den: int = 1) -> GPoly:
     integer vector v in `rhos(d)` order."""
     s = _horner(d, d, map(mul, v, _degree(d)[1]))     # u_rho = v_rho d!/z_rho
     return GPoly.from_int_terms({exponent(c): x for c, x in s}, den * math.factorial(d))
+
+
+def power_sum_total(terms: Iterable[tuple[int, Iterable[int]]], d: int, den: int = 1) -> GPoly:
+    """sum over (w, s) of w [beta^d] prod_i G(m_i beta), divided by den,
+    where s = (p_1(m), ..., p_d(m)) holds the power sums of the integer
+    multipliers m: one `power_products` per distinct s."""
+    totals: dict[tuple[int, ...], int] = {}
+    for w, s in terms:
+        s = tuple(s)
+        totals[s] = totals.get(s, 0) + w
+    acc = [0] * len(rhos(d))
+    for s, w in totals.items():
+        if w:
+            acc = [x + w * y for x, y in zip(acc, power_products(s, d))]
+    return to_gpoly(acc, d, den)

@@ -13,9 +13,9 @@ b^rho p_rho(contents) / z_rho (see `series`); content power sums are the
 central characters of completed cycles (Okounkov and Pandharipande, Ann.
 Math. 163 (2006)), and the product is the eigenvalue of prod G(beta J_a)
 on Jucys-Murphy elements (Guay-Paquet and Harnad, J. Math. Phys. 58
-(2017)).  `content_powers` tabulates the integers p_rho(contents) per
-diagram, `hurwitz_any` weighs them by chi_lambda(mu) * N!/h_lambda in
-integers and converts the sum to the g once.
+(2017)).  `hurwitz_any` hands `series.power_sum_total` each diagram's
+integer weight chi_lambda(mu) * N!/h_lambda with the power sums of its
+contents, and the sum is converted to the g once.
 
 Connected values follow from the exponential formula over the labeled
 profile entries, with the block holding the first label pinned (Stanley,
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
 from .algebra import GPoly
@@ -51,15 +50,7 @@ from .partitions import (
     partitions_of,
     z_of,
 )
-from .series import power_products, rhos, to_gpoly
-
-
-@lru_cache(maxsize=None)
-def content_powers(lam: Partition, d: int) -> tuple[int, ...]:
-    """p_rho(contents of lam) for rho |- d, in `series.rhos(d)` order: the
-    power-sum coordinates of [beta^d] prod over boxes of G(content * beta)."""
-    cs = [c for c in contents(as_partition(lam)) if c]
-    return tuple(power_products([sum(c ** k for c in cs) for k in range(1, d + 1)], d))
+from .series import power_sum_total
 
 
 @partition_cache
@@ -71,13 +62,14 @@ def hurwitz_any(mu: Partition, d: int) -> GPoly:
     # chi/hook = chi * f_lambda / N! with f_lambda = N!/hook an integer, so
     # the sum runs in integers over the common denominator N! * z_mu
     fact = math.factorial(N)
-    acc = [0] * len(rhos(d))
+    terms = []
     for lam in partitions_of(N):
         chi = character(lam, mu)
         if chi:
-            weight = chi * (fact // hook_product(lam))
-            acc = [a + weight * x for a, x in zip(acc, content_powers(lam, d))]
-    return to_gpoly(acc, d, fact * z_of(mu))
+            cs = contents(lam)
+            terms.append((chi * (fact // hook_product(lam)),
+                          [sum(c ** k for c in cs) for k in range(1, d + 1)]))
+    return power_sum_total(terms, d, fact * z_of(mu))
 
 
 @partition_cache

@@ -90,13 +90,22 @@ def _imports(module):
     return found
 
 
+def _names_from(module, source):
+    """The names the module imports from the hurwitz module `source`."""
+    return {alias.name for node in ast.walk(_tree(module)) if isinstance(node, ast.ImportFrom)
+            and node.module in (source, f"hurwitz.{source}") for alias in node.names}
+
+
 def test_pipelines_are_independent():
     imports = {m: _imports(m) for m in PIPELINES}
     for module, found in imports.items():
         names = {name for name, _ in found}
         assert not names & (set(PIPELINES) - {module}), (module, names)
-        # tau and the correlator share only Newton's identity, in `series`
+        # tau and the correlator share only Newton's identity, in `series`,
+        # through its one entry point
         assert ("series" in names) == (module != "oracle"), (module, names)
+        if module != "oracle":
+            assert _names_from(module, "series") == {"power_sum_total"}, module
     # the published tables and the CLI read every pipeline, so no pipeline
     # reads them, nor the request policy the CLI holds
     assert all(name not in ("tables", "cli") for found in imports.values() for name, _ in found)
@@ -107,3 +116,7 @@ def test_pipelines_are_independent():
     for module in SHARED:
         names = {name for name, _ in _imports(module)}
         assert not names & {*PIPELINES, "tables", "verify", "cli"}, (module, names)
+    # the power products and the conversion to g are read in `series` only
+    for path in Path(hurwitz.__file__).parent.glob("*.py"):
+        if path.stem != "series":
+            assert not _identifiers(path.stem) & {"power_products", "to_gpoly"}, path.stem

@@ -46,16 +46,17 @@ def test_json_output_bytes_are_pinned(capsys):
 
 
 def test_json_output_bytes_above_the_degree_cap_are_pinned(capsys):
-    # three requests between the default caps and the ceiling, as one digest
+    # five requests between the default caps and the ceiling, as one digest
     digest = hashlib.sha256()
     for request in (("--mu", "8,8", "--d", "18"), ("--mu", "6,5,5", "--d", "17", "--connected"),
-                    ("--mu", "16", "--d", "17")):
+                    ("--mu", "16", "--d", "17"), ("--mu", "7,7,7", "--d", "20"),
+                    ("--mu", "12,12", "--d", "24")):
         code, out, _ = run_cli(capsys, "compute", *request, "--max-weight", "30",
                                "--max-degree", "30", "--format", "json")
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "7192c8ec5b6b34911c245620670f6857c70476c70d715f29e0a75663f9f60e1c")
+        "097cc38144dafbf61e628d2a77c9504a14d7051c152225a8b7c26fd62d3fa871")
 
 
 @pytest.mark.parametrize("pipeline", cli.PIPELINES)
@@ -66,6 +67,15 @@ def test_negative_d_is_a_usage_error(capsys, pipeline):
                              "--pipeline", pipeline)
     assert code == 1 and out == ""
     assert err.splitlines() == ["hurwitz: error: d must be >= 0"]
+
+
+@pytest.mark.parametrize("name", ["weight", "degree"])
+def test_negative_cap_is_a_usage_error(capsys, name):
+    with pytest.raises(ValueError, match=f"{name} cap must be >= 0"):
+        compute((2,), 1, **{f"max_{name}": -3})
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", f"--max-{name}", "-3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"hurwitz: error: {name} cap must be >= 0"]
 
 
 def test_package_runs_as_a_module():

@@ -4,10 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-from hurwitz import series
+from hurwitz import correlator, series, tau
 from hurwitz.algebra import GPoly
 from hurwitz.partitions import partitions_of, z_of
-from hurwitz.series import b_terms, exponent, power_products, rhos, to_gpoly
+from hurwitz.series import b_terms, exponent, power_products, power_sum_total, rhos, to_gpoly
 
 g = GPoly.var
 
@@ -114,6 +114,19 @@ def test_power_products_and_to_gpoly_follow_rho():
             assert to_gpoly(v, d, 3) == want.scale(Fraction(1, 3)), (d, v)
 
 
+def test_power_sum_total_sums_its_terms():
+    # repeated vectors, zero weights and weights that cancel to 0 against
+    # one conversion per pair
+    rng = random.Random(17)
+    for d in range(9):
+        vectors = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(4)]
+        pairs = [(rng.choice((0, rng.randint(-5, 5))), rng.choice(vectors)) for _ in range(10)]
+        pairs += [(7, vectors[0]), (-7, vectors[0])]
+        want = sum((to_gpoly(power_products(s, d), d).scale(w) for w, s in pairs), GPoly.zero())
+        assert power_sum_total(pairs, d, 5) == want.scale(Fraction(1, 5)), (d, pairs)
+        assert power_sum_total([(3, vectors[1]), (-3, vectors[1])], d).is_zero()
+
+
 def test_series_state_stays_bounded():
     # the conversion keeps no table per rho: every cache holds at most one
     # entry per degree or part
@@ -126,3 +139,18 @@ def test_series_state_stays_bounded():
     assert to_gpoly([rng.randint(-9, 9) or 1 for _ in rhos(d)], d).is_homogeneous(d)
     assert caches and all(f.cache_info().currsize <= d + 1 for f in caches), \
         {f.__name__: f.cache_info().currsize for f in caches}
+
+
+def test_pipelines_keep_no_vector_over_rho():
+    # tau keeps only its two value caches, and a correlator factor keeps d
+    # power sums, not one product per rho |- d
+    d = 20
+    tau.hurwitz_any((4, 3, 3), d)
+    correlator.connected_closed_form((5, 4, 4), d)
+    caches = {name for name, f in vars(tau).items()
+              if hasattr(f, "cache_info") and f.__module__ == tau.__name__}
+    assert caches == {"hurwitz_any", "connected_any"}, caches
+    for a in range(13):
+        for b in range(13 - a):
+            den, s = correlator._factor(a, b, d)
+            assert len(s) == d and all(type(x) is int for x in (den, *s)), (a, b)

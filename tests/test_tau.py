@@ -17,10 +17,9 @@ from hurwitz.partitions import (
     partitions_of,
     set_partitions,
 )
-from hurwitz.series import rhos, to_gpoly
+from hurwitz.series import power_products, power_sum_total, rhos
 from hurwitz.tau import (
     connected_any,
-    content_powers,
     genus_slice,
     hurwitz_any,
 )
@@ -29,9 +28,14 @@ g = GPoly.var
 half = Fraction(1, 2)
 
 
+def _content_sums(lam, d) -> list[int]:
+    """The power sums p_1..p_d of the diagram's contents, as tau forms them."""
+    return [sum(c ** k for c in contents(lam)) for k in range(1, d + 1)]
+
+
 def _content_value(lam, d) -> GPoly:
-    """[beta^d] prod over boxes of G(content * beta) from the diagram's vector."""
-    return to_gpoly(content_powers(lam, d), d)
+    """[beta^d] prod over boxes of G(content * beta) from the diagram's power sums."""
+    return power_sum_total([(1, _content_sums(lam, d))], d)
 
 
 def test_content_product_small():
@@ -45,7 +49,7 @@ def test_content_product_small():
 def test_content_product_graded():
     for lam in [(3, 1), (2, 2), (4,), (2, 1, 1)]:
         for d in range(6):
-            assert len(content_powers(lam, d)) == len(rhos(d))
+            assert len(power_products(_content_sums(lam, d), d)) == len(rhos(d))
             assert _content_value(lam, d).is_homogeneous(d)
 
 
@@ -259,6 +263,8 @@ _Q = {"num": ["1"], "den": ["1"]}
     {"pipeline": "auto"},
     {"value": [{"exp": {"3": 1}, "num": 1.7, "den": True}]},
     {"model": "quantum", "value": {"num": [0.1], "den": ["1"]}},
+    {"mu": ""},                                           # compute never makes either
+    {"d": -1, "value": []},
 ])
 def test_result_json_rejects_malformed_shapes(changes):
     data = {**_result(3, _G3), **changes}
