@@ -18,7 +18,8 @@ of a tuple depends only on the partition lam formed by the colengths:
   dual model (parameters d):         |aut(lam)|/k! * f_lam(d)
   mixed rational model:              |aut(lam)|/k! * sum over multiset
                                      splits alpha + beta = lam of
-                                     m_alpha(c) * f_beta(d)
+                                     m_alpha(c) * f_beta(d), which is
+                                     the two above when d or c is empty
   quantum model at rational q:       (-1)^(d-k)/k! * sum over orderings of
                                      lam of prod_j 1/(1 - q^(s_j)), s_j the
                                      partial sums.  The overall prefactor
@@ -195,14 +196,6 @@ def pure_hurwitz_enum(query: FactorizationQuery) -> Fraction:
 # -- weights for the definitional sums ------------------------------------
 
 
-def weight_monomial(lam: Partition, c: tuple[Fraction, ...]) -> Fraction:
-    return Fraction(aut_of(lam), math.factorial(len(lam))) * sym_eval("m", lam, c)
-
-
-def weight_forgotten(lam: Partition, d: tuple[Fraction, ...]) -> Fraction:
-    return Fraction(aut_of(lam), math.factorial(len(lam))) * sym_eval("f", lam, d)
-
-
 def _multiset_splits(lam: Partition):
     """All ways to split the multiset lam into (alpha, beta), alpha + beta = lam."""
     items = sorted(Counter(lam).items())
@@ -220,8 +213,12 @@ def _multiset_splits(lam: Partition):
 
 def weight_rational(lam: Partition, c: tuple[Fraction, ...],
                     d: tuple[Fraction, ...]) -> Fraction:
+    """|aut(lam)|/k! * sum over splits alpha + beta = lam of m_alpha(c) f_beta(d);
+    with d empty this is the product model, with c empty the dual one."""
     total = Fraction(0)
     for alpha, beta in _multiset_splits(lam):
+        if len(alpha) > len(c) or (beta and not d):
+            continue    # m_alpha vanishes on fewer points than parts, f_beta on none
         ma = sym_eval("m", alpha, c) if alpha else Fraction(1)
         if not ma:
             continue
@@ -247,14 +244,8 @@ def weight_quantum(lam: Partition, q: Fraction) -> Fraction:
 
 
 def tuple_weight(lam: Partition, model: WeightModel) -> Fraction:
-    if model.kind == "rational":
-        if not model.d:
-            return weight_monomial(lam, model.c)
-        if not model.c:
-            return weight_forgotten(lam, model.d)
+    if model.kind in ("rational", "dual"):
         return weight_rational(lam, model.c, model.d)
-    if model.kind == "dual":
-        return weight_forgotten(lam, model.d)
     if model.kind == "quantum":
         if model.q is None:
             raise ValueError("definitional sums need a numeric q")

@@ -1,19 +1,23 @@
-"""Quantum values P(q) / (q;q)_m: dense polynomials in q and the reduced quotient.
-
-QPoly stores coefficients ascending in the power of q with trailing zeros
-stripped; the zero polynomial has degree -1 (the distinguished sentinel).
+"""Quantum values P(q) / (q;q)_m, reduced and stored in integers.
 
 QRat is a quantum value in the published shape P(q) / (q;q)_m, stored as
-the reduced pair (num, den).  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k),
-with Phi_k the monic cyclotomic polynomials, `QRat.over_pochhammer`, the
-one constructor that computes a value, reduces P / (q;q)_m by exact trial
-division of P by each Phi_k, as often as Phi_k's multiplicity in the
-denominator allows; what is left over is coprime by construction and the
-denominator is monic.  Equality of values is plain componentwise equality.
-`QRat.pochhammer_form` goes the other way, reading the least m off the
-Phi_k multiplicities of a denominator.  `q_multinomial` gives the integer
-polynomials (q;q)_m / prod (q;q)_i^e_i from which the numerators are built.
-All three compute on integer coefficient lists.
+three fields: `num`, the integer coefficients of the numerator, ascending
+with trailing zeros stripped; `scale`, an integer > 0 coprime to the
+content of num; and `den`, the integer coefficients of a monic product of
+cyclotomic polynomials coprime to num.  The value is num / (scale * den),
+and zero is ((), 1, (1,)).  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k),
+with Phi_k the monic cyclotomic polynomials, `QRat.over_pochhammer(num, m,
+scale)`, the one constructor that computes a value, reduces num / (scale *
+(q;q)_m) by exact trial division of num by each Phi_k, as often as Phi_k's
+multiplicity in the denominator allows; what is left over is coprime by
+construction, and the sign and the common factor of num and scale are then
+moved once.  Equal values have equal fields, so equality is plain
+componentwise equality.  `QRat.pochhammer_form` goes the other way, reading
+the least m off the Phi_k multiplicities of a denominator.  `q_multinomial`
+gives the integer polynomials (q;q)_m / prod (q;q)_i^e_i from which the
+numerators are built.  All of them compute on integer coefficient lists;
+a Fraction is built only at the edges, by the `num` property, `to_json`,
+`from_json`, `evaluate` and `str`.
 
 The quantum-weight tables are verified as identities of these exact
 values; nothing here is ever evaluated in floating point.
@@ -29,84 +33,6 @@ from typing import Sequence
 from .algebra import RationalLike
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")     # what to_json writes
-
-
-class QPoly:
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Sequence[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __mul__(self, other: QPoly | RationalLike) -> QPoly:
-        if not isinstance(other, QPoly):
-            return self.scale(other)
-        if not self or not other:
-            return QPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
-
-    def scale(self, s: RationalLike) -> QPoly:
-        s = Fraction(s)
-        return QPoly([c * s for c in self._coeffs])
-
-    def evaluate(self, q: RationalLike) -> Fraction:
-        q = Fraction(q)
-        out = Fraction(0)
-        for c in reversed(self._coeffs):
-            out = out * q + c
-        return out
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                body = "q" if k == 1 else f"q^{k}"
-                if c == 1:
-                    parts.append(body)
-                elif c == -1:
-                    parts.append(f"-{body}")
-                else:
-                    parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"QPoly({self})"
 
 
 def q_multinomial(m: int, exps: Sequence[int]) -> list[int]:
@@ -152,6 +78,8 @@ def _over_one_minus(p: list[int], k: int) -> list[int]:
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -216,35 +144,69 @@ def _cyclotomic(k: int) -> list[int]:
     return p
 
 
+
+
+def _trimmed(p: Sequence) -> list:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_str(coeffs: Sequence[RationalLike]) -> str:
+    """Coefficients, ascending, as a polynomial in q: "1 - 3/2*q^2"."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            body = "q" if k == 1 else f"q^{k}"
+            if c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _horner(coeffs: Sequence[int], q: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
+
+
 class QRat:
-    """A quantum value P(q) / (q;q)_m in reduced form.
+    """A quantum value num / (scale * den) in the reduced form of the module
+    docstring.  `over_pochhammer` computes these fields; the constructor
+    only stores fields that are already in this form."""
 
-    The stored pair (num, den) has den a monic product of cyclotomic
-    polynomials coprime to num, and den = 1 for zero.  `over_pochhammer`
-    computes that pair; the constructor only stores a pair that is already
-    in this form.
-    """
+    __slots__ = ("_num", "_scale", "_den")
 
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num: QPoly, den: QPoly):
-        self._num, self._den = num, den
+    def __init__(self, num: tuple[int, ...], scale: int, den: tuple[int, ...]):
+        self._num, self._scale, self._den = num, scale, den
 
     @staticmethod
-    def over_pochhammer(num: QPoly, m: int) -> QRat:
-        """The normalized value num / (q;q)_m, reduced without a gcd.
+    def over_pochhammer(num: Sequence[int], m: int, scale: int = 1) -> QRat:
+        """The normalized value num / (scale * (q;q)_m), reduced without a gcd.
 
-        (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k).  Each Phi_k is divided
-        out of num while it divides exactly and its multiplicity is not used
-        up; the remaining Phi_k powers are the monic denominator, coprime to
-        what is left of num, and the sign moves into the numerator.
+        num holds integer coefficients, ascending, and scale is a nonzero
+        integer.  (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k).  Each Phi_k is
+        divided out of num while it divides exactly and its multiplicity is
+        not used up; the remaining Phi_k powers are the monic denominator,
+        coprime to what is left of num.  The sign then moves into num, and
+        the gcd of num's coefficients and scale is divided out of both.
         """
         if m < 0:
             raise ValueError("index must be >= 0")
-        if not num:
-            return QRat(QPoly(), QPoly([1]))
-        scale = math.lcm(*(c.denominator for c in num.coeffs))
-        p = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+        if not scale:
+            raise ZeroDivisionError("scale must be nonzero")
+        p = _trimmed(num)
+        if not p:
+            return QRat((), 1, (1,))
         den = [1]
         for k in range(1, m + 1):
             phi = _cyclotomic(k)
@@ -253,18 +215,22 @@ class QRat:
                 p, left = quo, left - 1
             for _ in range(left):
                 den = _int_mul(den, phi)
-        return QRat(QPoly(p).scale(Fraction((-1) ** m, scale)), QPoly(den))
+        signed = -scale if m % 2 else scale
+        g = math.gcd(signed, *p)
+        if signed < 0:
+            g = -g
+        return QRat(tuple(c // g for c in p), signed // g, tuple(den))
 
-    def pochhammer_form(self, max_index: int) -> tuple[int, QPoly] | None:
-        """(m, P) with self = P / (q;q)_m for the least such m, if m <= max_index.
+    def pochhammer_form(self, max_index: int) -> tuple[int, list[int], int] | None:
+        """(m, P, scale) with self = P / (scale * (q;q)_m) for the least such
+        m, if m <= max_index.
 
-        The least m is max(k * n_k) over the multiplicities n_k of Phi_k in
-        the denominator.  None when the denominator is not a product of
-        Phi_k, k <= max_index, or when that m exceeds max_index.
+        P has integer coefficients with the content of num, so scale stays
+        coprime to it.  The least m is max(k * n_k) over the multiplicities
+        n_k of Phi_k in the denominator.  None when the denominator is not a
+        product of Phi_k, k <= max_index, or when that m exceeds max_index.
         """
-        if any(c.denominator != 1 for c in self._den.coeffs):
-            return None
-        den = [c.numerator for c in self._den.coeffs]
+        den = list(self._den)
         rest, m = den, 0
         for k in range(1, max_index + 1):
             if len(rest) == 1:
@@ -278,66 +244,73 @@ class QRat:
         if rest != [1] or m > max_index:
             return None
         cofactor = _divide_monic(q_multinomial(m, ()), den)
-        return m, self._num * QPoly(cofactor)
+        return m, _int_mul(list(self._num), cofactor), self._scale
 
     @property
-    def num(self) -> QPoly:
-        return self._num
+    def num(self) -> tuple[Fraction, ...]:
+        """The numerator's coefficients, num / scale, ascending."""
+        return tuple(Fraction(c, self._scale) for c in self._num)
 
     @property
-    def den(self) -> QPoly:
+    def den(self) -> tuple[int, ...]:
         return self._den
 
     def is_zero(self) -> bool:
-        return self._num.is_zero()
+        return not self._num
 
     def __bool__(self) -> bool:
         return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QRat):
-            return self._num == other._num and self._den == other._den
+            return (self._num, self._scale, self._den) == (other._num, other._scale, other._den)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash((self._num, self._scale, self._den))
 
     def evaluate(self, q: RationalLike) -> Fraction:
-        d = self._den.evaluate(q)
+        q = Fraction(q)
+        d = _horner(self._den, q)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
-        return self._num.evaluate(q) / d
+        return _horner(self._num, q) / (self._scale * d)
 
     def __str__(self) -> str:
-        if self._den.degree() == 0:
-            return str(self._num)
-        return f"({self._num}) / ({self._den})"
+        if len(self._den) == 1:
+            return _poly_str(self.num)
+        return f"({_poly_str(self.num)}) / ({_poly_str(self._den)})"
 
     def __repr__(self) -> str:
         return f"QRat({self})"
 
     def to_json(self) -> dict:
-        def enc(p: QPoly) -> list[str]:
-            return [str(c) for c in p.coeffs]
-        return {"num": enc(self._num), "den": enc(self._den)}
+        return {"num": [str(c) for c in self.num], "den": [str(c) for c in self._den]}
 
     @staticmethod
     def from_json(data: dict) -> QRat:
         """The value of a to_json dict; ValueError unless the pair is reduced.
 
-        Coefficients are "n" or "n/m" strings, as `to_json` writes them.  The
-        pair is rebuilt through `pochhammer_form` and `over_pochhammer`
-        and must come back unchanged, which rejects a zero, non-monic or
-        non-cyclotomic denominator and a pair with a common factor.
+        Coefficients are "n" or "n/m" strings, as `to_json` writes them, and
+        den's must be integers.  num is put over the lcm of its denominators,
+        rebuilt through `pochhammer_form` and `over_pochhammer`, and must come
+        back unchanged, which rejects a zero, non-monic or non-cyclotomic
+        denominator and a pair with a common factor.
         """
         num, den = data["num"], data["den"]
         if not (isinstance(num, list) and isinstance(den, list)
                 and all(isinstance(c, str) and _RATIONAL.fullmatch(c) for c in num + den)):
             raise ValueError(f"num and den must be lists of rational strings: {data!r}")
-        v = QRat(QPoly([Fraction(c) for c in num]), QPoly([Fraction(c) for c in den]))
+        num = _trimmed(Fraction(c) for c in num)
+        den = _trimmed(Fraction(c) for c in den)
+        if any(c.denominator != 1 for c in den):
+            raise ValueError(f"den must have integer coefficients: {data!r}")
+        scale = math.lcm(*(c.denominator for c in num))
+        v = QRat(tuple(c.numerator * (scale // c.denominator) for c in num), scale,
+                 tuple(c.numerator for c in den))
         # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least
         # index m = max(k * n_k) are both at most 2 * deg(den)^2
-        form = v.pochhammer_form(2 * max(v.den.degree(), 1) ** 2)
-        if form is None or QRat.over_pochhammer(form[1], form[0]) != v:
+        form = v.pochhammer_form(2 * max(len(den) - 1, 1) ** 2)
+        if form is None or QRat.over_pochhammer(form[1], form[0], form[2]) != v:
             raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
         return v

@@ -21,7 +21,7 @@ from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble, rho_coeff
 from .oracle import weighted_from_definition
 from .partitions import Partition, format_partition
-from .qrational import QPoly, QRat
+from .qrational import QRat
 from .tau import connected_any, hurwitz_any
 from .weights import WeightModel, display, specialize
 
@@ -49,7 +49,7 @@ def _sc(scale, *terms: GPoly) -> GPoly:
 
 
 def _qv(coeffs, scalar, poch) -> QRat:
-    return QRat.over_pochhammer(QPoly(coeffs).scale(Fraction(1, scalar)), poch)
+    return QRat.over_pochhammer(coeffs, poch, scalar)
 
 
 F = Fraction

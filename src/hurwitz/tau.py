@@ -66,10 +66,19 @@ def hurwitz_any(mu: Partition, d: int) -> GPoly:
     for lam in partitions_of(N):
         chi = character(lam, mu)
         if chi:
-            cs = contents(lam)
-            terms.append((chi * (fact // hook_product(lam)),
-                          [sum(c ** k for c in cs) for k in range(1, d + 1)]))
+            terms.append((chi * (fact // hook_product(lam)), _content_power_sums(lam, d)))
     return power_sum_total(terms, d, fact * z_of(mu))
+
+
+def _content_power_sums(lam: Partition, d: int) -> list[int]:
+    """p_1 .. p_d of the contents of lam, one running power per content."""
+    sums = [0] * d
+    for c in contents(lam):
+        power = 1
+        for k in range(d):
+            power *= c
+            sums[k] += power
+    return sums
 
 
 @partition_cache

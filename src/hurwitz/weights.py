@@ -14,12 +14,14 @@ Supported models and their coefficient sequences g_1, g_2, ...:
 Numeric models (every model but generic and symbolic q) specialize by
 evaluating the polynomial at their Taylor coefficients over Fraction.
 Symbolic q is built in the published form instead: with D the top weighted
-degree of the value, every monomial prod g_i^e_i equals the integer
-q-multinomial polynomial (q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the
-value is P / (q;q)_D with P summed in integers, reduced once by cyclotomic
-trial division (`QRat.over_pochhammer`).  The (q;q)_m display form reads m
-off the cyclotomic factors of the denominator; it is a formatter only and
-is never used for equality.
+degree of the value and s the common denominator of its integer
+numerators, every monomial prod g_i^e_i equals the integer q-multinomial
+polynomial (q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the value is
+P / (s (q;q)_D) with P summed in integers, reduced once by cyclotomic trial
+division (`QRat.over_pochhammer(P, D, s)`, which keeps integers).  The
+(q;q)_m display form reads m <= PRETTY_MAX_INDEX off the cyclotomic factors
+of the denominator and divides the content out of the integer numerator;
+it is a formatter only and is never used for equality.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .algebra import GPoly
-from .qrational import QPoly, QRat, q_multinomial
+from .qrational import QRat, _poly_str, q_multinomial
 
 MODEL_KINDS = ("generic", "exp", "rational", "dual", "quantum", "taylor")
+PRETTY_MAX_INDEX = 24       # the largest m that qrat_pretty writes as (q;q)_m
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def _specialize_symbolic_q(p: GPoly) -> QRat:
     for exp, c in nums.items():
         for j, x in enumerate(q_multinomial(top, exp)):
             acc[j] += c * x
-    return QRat.over_pochhammer(QPoly(acc).scale(Fraction(1, den)), top)
+    return QRat.over_pochhammer(acc, top, den)
 
 
 # -- display-only (q;q)_m formatter --------------------------------------
@@ -222,30 +225,24 @@ def display(value) -> str:
     return qrat_pretty(value) if isinstance(value, QRat) else str(value)
 
 
-def qrat_pretty(v: QRat, max_index: int = 24) -> str:
-    """Try to present v as P(q) / (s(q;q)_m) with integer-coefficient P and
-    the smallest feasible m; fall back to the plain num/den form.
+def qrat_pretty(v: QRat) -> str:
+    """Try to present v as P(q) / (s(q;q)_m) with primitive integer P and
+    the smallest feasible m <= PRETTY_MAX_INDEX; fall back to the plain
+    num/den form.
 
     Output is for human comparison against published tables only; equality
     checks always use the normalized QRat value itself.
     """
     if v.is_zero():
         return "0"
-    form = v.pochhammer_form(max_index)
+    form = v.pochhammer_form(PRETTY_MAX_INDEX)
     if form is None:
         return str(v)
-    m, num = form
-    denom_lcm = 1
-    for coef in num.coeffs:
-        denom_lcm = denom_lcm * coef.denominator // math.gcd(denom_lcm, coef.denominator)
-    scaled = num.scale(denom_lcm)
-    content = 0
-    for coef in scaled.coeffs:
-        content = math.gcd(content, coef.numerator)
-    content = content or 1
-    poly = scaled.scale(Fraction(1, content))
-    scalar = Fraction(denom_lcm, content)
-    num_s = str(poly) if len([c for c in poly.coeffs if c]) == 1 else f"({poly})"
+    m, p, scale = form
+    content = math.gcd(*p)
+    poly = _poly_str([c // content for c in p])
+    scalar = Fraction(scale, content)
+    num_s = poly if sum(1 for c in p if c) == 1 else f"({poly})"
     if m == 0:
         return num_s if scalar == 1 else f"{num_s} / {scalar}"
     poch = f"(q;q)_{m}" if scalar == 1 else f"{scalar}(q;q)_{m}"

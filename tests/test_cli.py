@@ -59,6 +59,26 @@ def test_json_output_bytes_above_the_degree_cap_are_pinned(capsys):
         "097cc38144dafbf61e628d2a77c9504a14d7051c152225a8b7c26fd62d3fa871")
 
 
+def test_display_bytes_are_pinned(capsys):
+    # the (q;q)_m display path: every table as text and csv, then symbolic-q
+    # `compute` text for |mu| <= 5, d = 0..8, connected and not, as one digest
+    digest = hashlib.sha256()
+    for which in tables.table_ids():
+        for fmt in ("text", "csv"):
+            code, out, _ = run_cli(capsys, "table", which, "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            for connected in ((), ("--connected",)):
+                code, out, _ = run_cli(capsys, "compute", "--mu", ",".join(map(str, mu)),
+                                       "--d-range", "0:8", "--weights", "quantum", *connected)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "858e12b598a4528dc935f64e235540641bd42377c681e1a9e9b9387450433d0a")
+
+
 @pytest.mark.parametrize("pipeline", cli.PIPELINES)
 def test_negative_d_is_a_usage_error(capsys, pipeline):
     with pytest.raises(ValueError, match="d must be >= 0"):

@@ -13,9 +13,10 @@ from hurwitz.oracle import (
     class_size,
     pure_hurwitz_char,
     pure_hurwitz_enum,
+    weight_rational,
     weighted_from_definition,
 )
-from hurwitz.partitions import CapExceeded, partitions_of, z_of
+from hurwitz.partitions import CapExceeded, aut_of, partitions_of, sym_eval, z_of
 from hurwitz.tables import KNOWN_ERRATA, errata_report
 from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import WeightModel, specialize
@@ -98,6 +99,18 @@ def test_definitional_rational_full_row():
     model = WeightModel.rational(c=c)
     want = specialize(hurwitz_any((2, 1), 3), model)
     assert weighted_from_definition((2, 1), 3, model) == want
+
+
+def test_weight_rational_reduces_to_the_product_and_dual_weights():
+    # d empty: |aut|/k! * m_lam(c); c empty: |aut|/k! * f_lam(d), on every lam |- n <= 7
+    rng = random.Random(7)
+    for size in (0, 1, 2, 3):
+        pts = tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size))
+        for n in range(1, 8):
+            for lam in partitions_of(n):
+                prefactor = F(aut_of(lam), math.factorial(len(lam)))
+                assert weight_rational(lam, pts, ()) == prefactor * sym_eval("m", lam, pts)
+                assert weight_rational(lam, (), pts) == prefactor * sym_eval("f", lam, pts)
 
 
 def test_definitional_mixed_rational():

@@ -1,5 +1,10 @@
-"""QPoly arithmetic and quantum values P(q)/(q;q)_m in reduced form."""
+"""Quantum values P(q)/(q;q)_m in reduced form, stored in integers.
 
+Polynomials on the test side are tuples of Fraction coefficients, ascending
+with trailing zeros stripped, multiplied and divided by the few lines below.
+"""
+
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,42 +12,69 @@ from functools import lru_cache
 
 import pytest
 
-from hurwitz.qrational import QPoly, QRat, q_multinomial
+from hurwitz.qrational import QRat, q_multinomial
 
-one_minus_q = QPoly([1, -1])
-one_minus_q2 = QPoly([1, 0, -1])
+
+def poly(coeffs):
+    """coeffs as a tuple of Fractions without trailing zeros."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly(out)
+
+
+one_minus_q = poly([1, -1])
+one_minus_q2 = poly([1, 0, -1])
 
 
 def pochhammer(m):
-    """(q;q)_m as the QPoly product of its factors 1 - q^k."""
-    out = QPoly([1])
+    """(q;q)_m as the product of its factors 1 - q^k."""
+    out = poly([1])
     for k in range(1, m + 1):
-        out = out * QPoly([1] + [0] * (k - 1) + [-1])
+        out = pmul(out, [1] + [0] * (k - 1) + [-1])
     return out
 
 
 def exact_quotient(p, f):
     """p / f by long division over Q, or None when f does not divide p."""
-    rem = list(p.coeffs)
-    top = f.degree()
+    rem = list(poly(p))
+    f = poly(f)
+    top = len(f) - 1
     if len(rem) <= top:
-        return None if rem else QPoly()
+        return None if rem else ()
     quo = [Fraction(0)] * (len(rem) - top)
     for j in range(len(quo) - 1, -1, -1):
-        quo[j] = c = rem[j + top] / f.coeffs[-1]
-        for i, x in enumerate(f.coeffs):
+        quo[j] = c = rem[j + top] / f[-1]
+        for i, x in enumerate(f):
             rem[j + i] -= c * x
-    return None if any(rem) else QPoly(quo)
+    return None if any(rem) else poly(quo)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(k):
     """Phi_k = (q^k - 1) / prod of Phi_j over the proper divisors j of k."""
-    out = QPoly([-1] + [0] * (k - 1) + [1])
+    out = poly([-1] + [0] * (k - 1) + [1])
     for j in range(1, k):
         if k % j == 0:
             out = exact_quotient(out, cyclotomic(j))
     return out
+
+
+def q_value(coeffs, m, scalar=1):
+    """The QRat coeffs / (scalar * (q;q)_m) for rational coeffs and scalar,
+    put over the integers by the lcm of the coefficient denominators."""
+    coeffs, scalar = poly(coeffs), Fraction(scalar)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return QRat.over_pochhammer([int(c * lcm * scalar.denominator) for c in coeffs], m,
+                                lcm * scalar.numerator)
 
 
 def assert_reduced_quotient(got, a, b):
@@ -51,8 +83,8 @@ def assert_reduced_quotient(got, a, b):
     Cross-multiplied equality, a monic denominator made of Phi_k with
     k <= 24, and no Phi_k dividing both parts fix that form uniquely.
     """
-    assert got.num * b == a * got.den
-    assert got.den.coeffs[-1] == 1 and got.pochhammer_form(24) is not None
+    assert pmul(got.num, b) == pmul(a, got.den)
+    assert got.den[-1] == 1 and got.pochhammer_form(24) is not None
     for k in range(1, 25):
         phi = cyclotomic(k)
         shared = (exact_quotient(got.den, phi) is not None
@@ -61,27 +93,30 @@ def assert_reduced_quotient(got, a, b):
 
 
 def test_degree_sentinel():
-    assert QPoly().degree() == -1
-    assert QPoly([0, 0]).degree() == -1
-    assert QPoly([3]).degree() == 0
-    assert one_minus_q2.degree() == 2
+    # trailing zeros are stripped, so the zero numerator is empty (degree -1)
+    assert len(QRat.over_pochhammer([], 0).num) - 1 == -1
+    assert len(QRat.over_pochhammer([0, 0], 2).num) - 1 == -1
+    assert len(QRat.over_pochhammer([3, 0], 0).num) - 1 == 0
+    assert len(QRat.over_pochhammer([1, 0, -1, 0], 0).num) - 1 == 2
+    assert QRat.over_pochhammer([0, 0], 2) == QRat.over_pochhammer([], 0)
+    assert QRat.over_pochhammer([], 5).den == (1,)
 
 
 def test_reduction_on_construction():
-    v = QRat.over_pochhammer(one_minus_q2, 1)  # (1-q^2)/(1-q) = 1+q
-    assert v.num == QPoly([1, 1])
-    assert v.den == QPoly([1])
+    v = QRat.over_pochhammer([1, 0, -1], 1)  # (1-q^2)/(1-q) = 1+q
+    assert v.num == (1, 1)
+    assert v.den == (1,)
 
 
 def test_denominator_monic_leading_folded():
-    v = QRat.over_pochhammer(QPoly([Fraction(1, 2)]), 1)  # 1/(2-2q) = (-1/2)/(q-1)
-    assert v.den == QPoly([-1, 1])
-    assert v.den.coeffs[-1] == 1
-    assert v.num == QPoly([Fraction(-1, 2)])
+    v = QRat.over_pochhammer([1], 1, 2)  # 1/(2-2q) = (-1/2)/(q-1)
+    assert v.den == (-1, 1)
+    assert v.den[-1] == 1
+    assert v.num == (Fraction(-1, 2),)
 
 
 def test_evaluate():
-    v = QRat.over_pochhammer(QPoly([1]), 1)  # 1/(1-q)
+    v = QRat.over_pochhammer([1], 1)  # 1/(1-q)
     assert v.evaluate(Fraction(1, 3)) == Fraction(3, 2)
     with pytest.raises(ZeroDivisionError):
         v.evaluate(1)
@@ -89,10 +124,10 @@ def test_evaluate():
 
 def test_json_round_trip():
     # (1 + 2/3 q) / (1 - q^2)
-    v = QRat.over_pochhammer(QPoly([1, Fraction(2, 3)]) * one_minus_q, 2)
-    assert v.den == QPoly([-1, 0, 1])
+    v = QRat.over_pochhammer([3, -1, -2], 2, 3)    # (3 + 2q)(1 - q) / 3
+    assert v.den == (-1, 0, 1)
     assert QRat.from_json(v.to_json()) == v
-    zero = QRat.over_pochhammer(QPoly(), 3)
+    zero = QRat.over_pochhammer([], 3)
     assert QRat.from_json(zero.to_json()) == zero
 
 
@@ -109,6 +144,7 @@ def test_json_round_trip():
     {"num": ["0.1"], "den": ["1"]},            # strings to_json never writes
     {"num": ["1e3"], "den": ["1"]},
     {"num": ["1/0"], "den": ["1"]},
+    {"num": ["1"], "den": ["-1/2", "1/2"]},    # a non-integer denominator
 ])
 def test_from_json_rejects_unreduced_pairs(data):
     with pytest.raises(ValueError):
@@ -142,12 +178,32 @@ def test_over_pochhammer_matches_gcd_reduction():
     rng = random.Random(11)
     for _ in range(40):
         m = rng.randint(0, 9)
-        num = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                     for _ in range(rng.randint(1, 5))])
+        num = poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 5))])
         # multiples of (q;q)_j factors exercise the cyclotomic cancellation
-        num = num * pochhammer(rng.randint(0, m + 2))
-        got = QRat.over_pochhammer(num, m)
+        num = pmul(num, pochhammer(rng.randint(0, m + 2)))
+        got = q_value(num, m)
         assert_reduced_quotient(got, num, pochhammer(m))
         if not got.is_zero():
-            k, poly = got.pochhammer_form(24)
-            assert k <= m and QRat.over_pochhammer(poly, k) == got
+            k, p, scale = got.pochhammer_form(24)
+            assert k <= m and QRat.over_pochhammer(p, k, scale) == got
+
+
+def test_fields_are_a_normal_form():
+    # the same value from any integer representative has the same fields
+    rng = random.Random(18)
+    for _ in range(40):
+        m = rng.randint(0, 7)
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        num = [int(c) for c in pmul(num, pochhammer(rng.randint(0, m + 1)))]
+        scale = rng.choice([1, 2, 3, 4, 6, -5])
+        v = QRat.over_pochhammer(num, m, scale)
+        for k in (2, 3, -7):
+            for w in (QRat.over_pochhammer([k * c for c in num], m, k * scale),
+                      QRat.over_pochhammer([-c for c in num], m, -scale)):
+                assert (w.num, w.den) == (v.num, v.den) and w == v
+                assert hash(w) == hash(v) and w.to_json() == v.to_json()
+        assert v.num == tuple(q_value([Fraction(c, scale) for c in num], m).num)
+    assert QRat.over_pochhammer([0, 0], 4, -3).to_json() == {"num": [], "den": ["1"]}
+    with pytest.raises(ZeroDivisionError):
+        QRat.over_pochhammer([1], 1, 0)

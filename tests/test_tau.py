@@ -19,6 +19,7 @@ from hurwitz.partitions import (
 )
 from hurwitz.series import power_products, power_sum_total, rhos
 from hurwitz.tau import (
+    _content_power_sums,
     connected_any,
     genus_slice,
     hurwitz_any,
@@ -29,7 +30,7 @@ half = Fraction(1, 2)
 
 
 def _content_sums(lam, d) -> list[int]:
-    """The power sums p_1..p_d of the diagram's contents, as tau forms them."""
+    """The power sums p_1..p_d of the diagram's contents, one power at a time."""
     return [sum(c ** k for c in contents(lam)) for k in range(1, d + 1)]
 
 
@@ -44,6 +45,13 @@ def test_content_product_small():
     assert _content_value((3,), 3) == g(1) * g(2) * 6 + g(3) * 9
     assert _content_value((), 0) == GPoly.one()
     assert _content_value((), 3).is_zero()
+
+
+def test_content_power_sums_match_the_sums_of_powers():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for d in (0, 1, 4, 11):
+                assert _content_power_sums(lam, d) == _content_sums(lam, d)
 
 
 def test_content_product_graded():

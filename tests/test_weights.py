@@ -8,11 +8,11 @@ import pytest
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.partitions import partitions_of
-from hurwitz.qrational import QPoly, QRat, q_multinomial
+from hurwitz.qrational import QRat, q_multinomial
 from hurwitz.tau import connected_any, hurwitz_any
 from hurwitz.weights import WeightModel, parse_model, qrat_pretty, specialize, taylor_coeffs
 from test_partitions import naive_e, naive_h
-from test_qrational import assert_reduced_quotient, pochhammer
+from test_qrational import assert_reduced_quotient, pmul, pochhammer, poly, q_value
 
 g = GPoly.var
 F = Fraction
@@ -23,7 +23,7 @@ def qrat_pretty_parse(text):
     num_s, _, den_s = text.strip().partition(" / ")
     scalar_s, _, index = den_s.strip().removeprefix("(").removesuffix(")").partition("(q;q)_")
     num = _parse_qpoly(num_s.strip().removeprefix("(").removesuffix(")"))
-    return QRat.over_pochhammer(num.scale(1 / F(scalar_s or 1)), int(index or 0))
+    return q_value(num, int(index or 0), F(scalar_s or 1))
 
 
 def _parse_qpoly(text):
@@ -37,7 +37,7 @@ def _parse_qpoly(text):
         c = F(coef + "1") if coef in ("", "-") else F(coef)
         k = (int(power[1:]) if power.startswith("^") else 1) if q else 0
         coeffs[k] = coeffs.get(k, F(0)) + c
-    return QPoly([coeffs.get(i, F(0)) for i in range(max(coeffs, default=0) + 1)])
+    return poly([coeffs.get(i, F(0)) for i in range(max(coeffs, default=0) + 1)])
 
 
 def test_exponential_coeffs():
@@ -61,8 +61,8 @@ def test_quantum_symbolic_coeffs():
         with pytest.raises(ValueError):
             taylor_coeffs(model, 2)
     g2 = specialize(g(2), WeightModel.quantum())
-    assert g2 == QRat.over_pochhammer(QPoly([1]), 2)
-    assert (g2.num, g2.den) == (QPoly([1]), QPoly([1, -1, -1, 1]))  # 1/((1-q)(1-q^2))
+    assert g2 == QRat.over_pochhammer([1], 2)
+    assert (g2.num, g2.den) == ((1,), (1, -1, -1, 1))  # 1/((1-q)(1-q^2))
 
 
 def test_quantum_numeric_coeffs():
@@ -75,8 +75,8 @@ def test_quantum_pochhammer_inverse_identity():
     # (q;q)_i * g_i = 1 exactly
     for i in range(1, 9):
         gi = specialize(g(i), WeightModel.quantum())
-        assert gi == QRat.over_pochhammer(QPoly([1]), i)
-        assert gi.num * pochhammer(i) == gi.den
+        assert gi == QRat.over_pochhammer([1], i)
+        assert pmul(gi.num, pochhammer(i)) == gi.den
 
 
 def test_taylor_model_and_length_check():
@@ -90,8 +90,8 @@ def test_specialize_examples():
     p = g(1) * g(2) + g(3).scale(F(3, 2))
     assert specialize(p, WeightModel.exponential()) == F(3, 4)
     got = specialize(g(1).scale(F(1, 2)), WeightModel.quantum())
-    assert got == QRat.over_pochhammer(QPoly([F(1, 2)]), 1)  # 1/(2(q;q)_1)
-    assert (got.num, got.den) == (QPoly([F(-1, 2)]), QPoly([-1, 1]))
+    assert got == QRat.over_pochhammer([1], 1, 2)  # 1/(2(q;q)_1)
+    assert (got.num, got.den) == ((F(-1, 2),), (-1, 1))
     # an all-zero explicit list keeps only the constant term
     p2 = GPoly.const(F(7)) + g(2)
     assert specialize(p2, WeightModel.taylor([0, 0])) == F(7)
@@ -178,33 +178,31 @@ def test_parse_model_round_trip_describe():
 def test_qq_pochhammer():
     assert q_multinomial(0, ()) == [1]
     assert q_multinomial(1, ()) == [1, -1]
-    expanded = QPoly([1, -1]) * QPoly([1, 0, -1]) * QPoly([1, 0, 0, -1])
+    expanded = pmul(pmul(poly([1, -1]), poly([1, 0, -1])), poly([1, 0, 0, -1]))
     assert q_multinomial(3, ()) == [1, -1, -1, 0, 1, 1, -1]
-    assert QPoly(q_multinomial(3, ())) == expanded
+    assert poly(q_multinomial(3, ())) == expanded
 
 
 def test_qrat_pretty_examples():
-    v = QRat.over_pochhammer(QPoly([F(1, 2)]), 1)
+    v = QRat.over_pochhammer([1], 1, 2)
     assert qrat_pretty(v) == "1 / (2(q;q)_1)"
-    w = QRat.over_pochhammer(QPoly([F(2, 3), F(1, 3)]), 3)
+    w = QRat.over_pochhammer([2, 1], 3, 3)
     assert qrat_pretty(w) == "(2 + q) / (3(q;q)_3)"
-    assert qrat_pretty(QRat.over_pochhammer(QPoly([1, 1]), 0)) == "(1 + q)"
+    assert qrat_pretty(QRat.over_pochhammer([1, 1], 0)) == "(1 + q)"
 
 
 def test_qrat_pretty_round_trip():
     rng = random.Random(5)
     samples = [
-        QRat.over_pochhammer(QPoly([F(1, 2)]), 1),
-        QRat.over_pochhammer(QPoly([2, 1]).scale(F(1, 3)), 3),
-        QRat.over_pochhammer(QPoly([21, 10, 14, 14, 14, 4, 4]).scale(F(1, 2)), 5),
-        QRat.over_pochhammer(QPoly([F(1, 2), 0, 3]), 0),
-        QRat.over_pochhammer(QPoly([1, 1]) * pochhammer(3), 4),  # (1+q)/(1-q^4)
+        QRat.over_pochhammer([1], 1, 2),
+        QRat.over_pochhammer([2, 1], 3, 3),
+        QRat.over_pochhammer([21, 10, 14, 14, 14, 4, 4], 5, 2),
+        QRat.over_pochhammer([1, 0, 6], 0, 2),
+        q_value(pmul(poly([1, 1]), pochhammer(3)), 4),  # (1+q)/(1-q^4)
     ]
     for _ in range(5):
-        samples.append(QRat.over_pochhammer(
-            QPoly([rng.randint(-9, 9) for _ in range(4)]).scale(F(1, rng.randint(1, 6))),
-            rng.randint(0, 4),
-        ))
+        num, scale = [rng.randint(-9, 9) for _ in range(4)], rng.randint(1, 6)
+        samples.append(QRat.over_pochhammer(num, rng.randint(0, 4), scale))
     for v in samples:
         if v.is_zero():
             continue
@@ -232,20 +230,26 @@ def test_specialize_symbolic_q_matches_qrat_evaluation():
         n = max(p.variables(), default=0)
         terms = {e + (0,) * (n - len(e)): c for e, c in p.terms.items()}
         top = [max(column) for column in zip(*terms)]
-        b = QPoly([1])
+        b = poly([1])
         for i, big in enumerate(top, start=1):
             for _ in range(big):
-                b = b * pochhammer(i)
+                b = pmul(b, pochhammer(i))
         acc = []
         for exp, coef in terms.items():
-            term = QPoly([coef])
+            term = poly([coef])
             for i, (big, e) in enumerate(zip(top, exp), start=1):
                 for _ in range(big - e):
-                    term = term * pochhammer(i)
-            acc += [F(0)] * (len(term.coeffs) - len(acc))
-            for j, c in enumerate(term.coeffs):
+                    term = pmul(term, pochhammer(i))
+            acc += [F(0)] * (len(term) - len(acc))
+            for j, c in enumerate(term):
                 acc[j] += c
-        assert_reduced_quotient(specialize(p, WeightModel.quantum()), QPoly(acc), b)
+        assert_reduced_quotient(specialize(p, WeightModel.quantum()), poly(acc), b)
+
+
+def test_quantum_values_round_trip_through_json():
+    for p in _quantum_grid():
+        v = specialize(p, WeightModel.quantum())
+        assert QRat.from_json(v.to_json()) == v
 
 
 def test_specialize_symbolic_q_then_evaluate_matches_numeric_q():
@@ -257,15 +261,15 @@ def test_specialize_symbolic_q_then_evaluate_matches_numeric_q():
 
 def test_qrat_pretty_fallbacks():
     # [1]_q [2]_q ... [m]_q / (q;q)_m = 1/(1-q)^m
-    q_factorial = QPoly([1])
+    q_factorial = [1]
     for k in range(1, 25):
-        q_factorial = q_factorial * QPoly([1] * k)
+        q_factorial = [int(c) for c in pmul(q_factorial, [1] * k)]
     at_limit = QRat.over_pochhammer(q_factorial, 24)               # m = 24
     assert qrat_pretty(at_limit).endswith("(q;q)_24)")
     assert qrat_pretty_parse(qrat_pretty(at_limit)) == at_limit
-    beyond_index = QRat.over_pochhammer(pochhammer(24), 25)        # 1/(1-q^25)
-    too_many = QRat.over_pochhammer(q_factorial * QPoly([1] * 25), 25)  # m = 25
-    assert beyond_index.den == QPoly([-1] + [0] * 24 + [1])
+    beyond_index = q_value(pochhammer(24), 25)                    # 1/(1-q^25)
+    too_many = q_value(pmul(q_factorial, [1] * 25), 25)            # m = 25
+    assert beyond_index.den == tuple([-1] + [0] * 24 + [1])
     for v in (beyond_index, too_many):
         assert qrat_pretty(v) == str(v)
 
