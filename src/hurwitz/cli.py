@@ -11,10 +11,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble
@@ -36,8 +35,7 @@ WEIGHT_CAP = 10
 DEGREE_CAP = 12
 
 
-@dataclass(frozen=True)
-class HurwitzResult:
+class HurwitzResult(NamedTuple):
     """One computed value, with provenance."""
 
     mu: Partition

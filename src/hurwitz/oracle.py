@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .partitions import (
     CapExceeded,
@@ -62,17 +62,24 @@ DEF_WEIGHT_CAP = 5
 DEF_DEGREE_CAP = 6
 
 
-@dataclass(frozen=True)
-class FactorizationQuery:
+class _QueryFields(NamedTuple):
     classes: tuple[Partition, ...]
     transitive_only: bool = False
 
-    def __post_init__(self):
+
+class FactorizationQuery(_QueryFields):
+    """An immutable query; ValueError unless there are classes, all of one weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.classes:
             raise ValueError("query needs at least one conjugacy class")
         weights = {sum(c) for c in self.classes}
         if len(weights) != 1:
             raise ValueError(f"conjugacy classes of unequal weight: {self.classes}")
+        return self
 
     @property
     def degree(self) -> int:

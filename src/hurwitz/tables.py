@@ -10,6 +10,12 @@ disagrees with the pipeline consensus are expected to show up in the
 comparison, and the frozen list of those cells is KNOWN_ERRATA.  Everything
 here is data plus comparison plumbing; no published value is ever used as
 an input to the computational pipelines.
+
+Each cell is literal data built by one constructor.  A generic cell is
+(scale, {exponent tuple: integer}), the scale times the terms; (2, 0, 1) is
+g1^2 g3.  A cell printed with fractional coefficients is put over their
+lcm: 3/2 g3 + g1 g2 reads (1/2, {(0, 0, 1): 3, (1, 1): 2}).  A quantum
+cell is (P, s, m), the printed P(q) / (s (q;q)_m), P's coefficients ascending.
 """
 
 from __future__ import annotations
@@ -30,26 +36,17 @@ class PipelineDisagreement(RuntimeError):
     """Two independent pipelines computed different values for one cell."""
 
 
-def _t(coef, **powers) -> GPoly:
-    mono = GPoly.one()
-    for name, e in powers.items():
-        mono = mono * GPoly.var(int(name[1:])) ** e
-    return mono.scale(Fraction(coef))
+def _poly(scale: int | Fraction, terms: dict[tuple[int, ...], int]) -> GPoly:
+    return GPoly.from_int_terms({e: c * scale.numerator for e, c in terms.items()},
+                                scale.denominator)
 
 
-def _gp(*terms: GPoly) -> GPoly:
-    acc = GPoly.zero()
-    for t in terms:
-        acc = acc + t
-    return acc
+def _polys(cells: dict) -> dict:
+    return {key: _poly(*cell) for key, cell in cells.items()}
 
 
-def _sc(scale, *terms: GPoly) -> GPoly:
-    return _gp(*terms).scale(Fraction(scale))
-
-
-def _qv(coeffs, scalar, poch) -> QRat:
-    return QRat.over_pochhammer(coeffs, poch, scalar)
+def _quantum(cells: dict) -> dict:
+    return {key: QRat.over_pochhammer(p, m, s) for key, (p, s, m) in cells.items()}
 
 
 F = Fraction
@@ -63,53 +60,42 @@ _A1_GRID = [
     [F(1, 4), -F(1, 6), F(1, 24), 0, -F(1, 288)],
     [F(1, 12), -F(1, 16), F(1, 48), -F(1, 288), 0],
 ]
-A1_PRINTED = {(a, b): _t(_A1_GRID[a][b], g1=1) for a in range(5) for b in range(5)}
+A1_PRINTED = {(a, b): _poly(_A1_GRID[a][b], {(1,): 1}) for a in range(5) for b in range(5)}
 
-A2_PRINTED = {
-    (0, 0): _gp(), (0, 1): _t(-F(1, 2), g2=1),
-    (0, 2): _sc(F(1, 6), _t(2, g1=2), _t(5, g2=1)),
-    (0, 3): _sc(-F(1, 24), _t(11, g1=2), _t(14, g2=1)),
-    (1, 0): _t(F(1, 2), g2=1),
-    (1, 1): _sc(F(1, 3), _t(1, g1=2), _t(-2, g2=1)),
-    (1, 2): _sc(F(1, 8), _t(-1, g1=2), _t(6, g2=1)),
-    (1, 3): _sc(-F(1, 6), _t(1, g1=2), _t(3, g2=1)),
-    (2, 0): _sc(F(1, 6), _t(2, g1=2), _t(5, g2=1)),
-    (2, 1): _sc(F(1, 8), _t(1, g1=2), _t(-6, g2=1)),
-    (2, 2): _sc(F(1, 4), _t(-1, g1=2), _t(2, g2=1)),
-    (2, 3): _sc(F(1, 72), _t(5, g1=2), _t(-19, g2=1)),
-    (3, 0): _sc(F(1, 24), _t(11, g1=2), _t(14, g2=1)),
-    (3, 1): _sc(-F(1, 6), _t(1, g1=2), _t(3, g2=1)),
-    (3, 2): _sc(F(1, 72), _t(-5, g1=2), _t(19, g2=1)),
-    (3, 3): _sc(F(1, 18), _t(1, g1=2), _t(-2, g2=1)),
-    (4, 0): _sc(F(1, 24), _t(7, g1=2), _t(6, g2=1)),
-    (4, 1): _sc(-F(1, 144), _t(25, g1=2), _t(31, g2=1)),
-    (4, 2): _sc(F(1, 48), _t(1, g1=2), _t(5, g2=1)),
-    (4, 3): _sc(F(1, 576), _t(7, g1=2), _t(-22, g2=1)),
-}
-A2_CORNER = _sc(-F(5, 864), _t(1, g1=2), _t(-2, g2=1))
+A2_PRINTED = _polys({
+    (0, 0): (0, {}), (0, 1): (F(-1, 2), {(0, 1): 1}),
+    (0, 2): (F(1, 6), {(2,): 2, (0, 1): 5}), (0, 3): (F(-1, 24), {(2,): 11, (0, 1): 14}),
+    (1, 0): (F(1, 2), {(0, 1): 1}), (1, 1): (F(1, 3), {(2,): 1, (0, 1): -2}),
+    (1, 2): (F(1, 8), {(2,): -1, (0, 1): 6}), (1, 3): (F(-1, 6), {(2,): 1, (0, 1): 3}),
+    (2, 0): (F(1, 6), {(2,): 2, (0, 1): 5}), (2, 1): (F(1, 8), {(2,): 1, (0, 1): -6}),
+    (2, 2): (F(1, 4), {(2,): -1, (0, 1): 2}), (2, 3): (F(1, 72), {(2,): 5, (0, 1): -19}),
+    (3, 0): (F(1, 24), {(2,): 11, (0, 1): 14}), (3, 1): (F(-1, 6), {(2,): 1, (0, 1): 3}),
+    (3, 2): (F(1, 72), {(2,): -5, (0, 1): 19}), (3, 3): (F(1, 18), {(2,): 1, (0, 1): -2}),
+    (4, 0): (F(1, 24), {(2,): 7, (0, 1): 6}), (4, 1): (F(-1, 144), {(2,): 25, (0, 1): 31}),
+    (4, 2): (F(1, 48), {(2,): 1, (0, 1): 5}), (4, 3): (F(1, 576), {(2,): 7, (0, 1): -22}),
+})
+A2_CORNER = _poly(F(-5, 864), {(2,): 1, (0, 1): -2})
 
-A3_PRINTED = {
-    (0, 0): _gp(), (0, 1): _t(F(1, 2), g3=1),
-    (0, 2): _sc(-F(1, 6), _t(6, g1=1, g2=1), _t(-9, g3=1)),
-    (0, 3): _sc(F(1, 4), _t(1, g1=3), _t(8, g1=1, g2=1), _t(6, g3=1)),
-    (1, 0): _t(F(1, 2), g3=1), (1, 1): _gp(),
+A3_PRINTED = _polys({
+    (0, 0): (0, {}), (0, 1): (F(1, 2), {(0, 0, 1): 1}),
+    (0, 2): (F(-1, 6), {(1, 1): 6, (0, 0, 1): -9}),
+    (0, 3): (F(1, 4), {(3,): 1, (1, 1): 8, (0, 0, 1): 6}),
+    (1, 0): (F(1, 2), {(0, 0, 1): 1}), (1, 1): (0, {}),
     # the (1,2) cell is printed with "2 g_2g_2"; transcribed literally
-    (1, 2): _sc(F(1, 4), _t(1, g1=3), _t(-2, g2=2), _t(-4, g3=1)),
-    (1, 3): _sc(F(1, 6), _t(-1, g1=3), _t(8, g1=1, g2=1), _t(7, g3=1)),
-    (2, 0): _sc(F(1, 6), _t(6, g1=1, g2=1), _t(9, g3=1)),
-    (2, 1): _sc(F(1, 4), _t(1, g1=3), _t(-2, g1=1, g2=1), _t(-4, g3=1)),
-    (2, 2): _gp(),
-    (2, 3): _sc(F(1, 24), _t(-5, g1=3), _t(10, g1=1, g2=1), _t(9, g3=1)),
-    (3, 0): _sc(F(1, 4), _t(1, g1=3), _t(8, g1=1, g2=1), _t(6, g3=1)),
-    (3, 1): _sc(F(1, 6), _t(1, g1=3), _t(-8, g1=1, g2=1), _t(-7, g3=1)),
-    (3, 2): _sc(F(1, 24), _t(-5, g1=3), _t(10, g1=1, g2=1), _t(9, g3=1)),
-    (3, 3): _gp(),
-    (4, 0): _sc(F(5, 12), _t(1, g1=3), _t(4, g1=1, g2=1), _t(2, g3=1)),
-    (4, 1): _sc(-F(1, 48), _t(5, g1=3), _t(60, g1=1, g2=1), _t(33, g3=1)),
-    (4, 2): _sc(F(1, 48), _t(-5, g1=3), _t(22, g1=1, g2=1), _t(13, g3=1)),
-    (4, 3): _sc(F(1, 144), _t(7, g1=3), _t(-14, g1=1, g2=1), _t(-8, g3=1)),
-}
-A3_CORNER = _gp()
+    (1, 2): (F(1, 4), {(3,): 1, (0, 2): -2, (0, 0, 1): -4}),
+    (1, 3): (F(1, 6), {(3,): -1, (1, 1): 8, (0, 0, 1): 7}),
+    (2, 0): (F(1, 6), {(1, 1): 6, (0, 0, 1): 9}),
+    (2, 1): (F(1, 4), {(3,): 1, (1, 1): -2, (0, 0, 1): -4}),
+    (2, 2): (0, {}), (2, 3): (F(1, 24), {(3,): -5, (1, 1): 10, (0, 0, 1): 9}),
+    (3, 0): (F(1, 4), {(3,): 1, (1, 1): 8, (0, 0, 1): 6}),
+    (3, 1): (F(1, 6), {(3,): 1, (1, 1): -8, (0, 0, 1): -7}),
+    (3, 2): (F(1, 24), {(3,): -5, (1, 1): 10, (0, 0, 1): 9}), (3, 3): (0, {}),
+    (4, 0): (F(5, 12), {(3,): 1, (1, 1): 4, (0, 0, 1): 2}),
+    (4, 1): (F(-1, 48), {(3,): 5, (1, 1): 60, (0, 0, 1): 33}),
+    (4, 2): (F(1, 48), {(3,): -5, (1, 1): 22, (0, 0, 1): 13}),
+    (4, 3): (F(1, 144), {(3,): 7, (1, 1): -14, (0, 0, 1): -8}),
+})
+A3_CORNER = GPoly.zero()
 
 _A_TABLES = {
     "A1": (1, A1_PRINTED, None),
@@ -119,85 +105,70 @@ _A_TABLES = {
 
 # -- B4/B5: generic values, profile length 1 and 2 ------------------------
 
-B4_PRINTED = {
-    ((2,), 1): _t(F(1, 2), g1=1),
-    ((2,), 3): _t(F(1, 2), g3=1),
-    ((3,), 2): _sc(F(1, 3), _t(1, g1=2), _t(1, g2=1)),
-    ((3,), 4): _sc(F(1, 3), _t(1, g2=2), _t(4, g1=1, g3=1), _t(5, g4=1)),
-    ((2, 1), 3): _gp(_t(1, g1=1, g2=1), _t(F(3, 2), g3=1)),
-    ((2, 1), 5): _gp(_t(3, g1=1, g4=1), _t(2, g2=1, g3=1), _t(F(11, 2), g5=1)),
-    ((4,), 3): _sc(F(1, 4), _t(1, g1=3), _t(3, g1=1, g2=1), _t(1, g3=1)),
-    ((4,), 5): _gp(_t(F(5, 2), g1=2, g3=1), _t(F(5, 4), g1=1, g2=2),
-                   _t(F(25, 4), g1=1, g4=1), _t(F(15, 4), g2=1, g3=1),
-                   _t(F(15, 4), g5=1)),
-    ((3, 1), 4): _gp(_t(1, g1=2, g2=1), _t(F(4, 3), g2=2),
-                     _t(F(10, 3), g1=1, g3=1), _t(F(8, 3), g4=1)),
-    ((3, 1), 6): _gp(_t(6, g1=2, g4=1), _t(8, g1=1, g2=1, g3=1), _t(24, g1=1, g5=1),
-                     _t(1, g2=3), _t(16, g2=1, g4=1), _t(7, g3=2), _t(22, g6=1)),
-    ((2, 2), 4): _gp(_t(F(1, 2), g1=2, g2=1), _t(F(1, 4), g2=2),
-                     _t(1, g1=1, g3=1), _t(F(1, 2), g4=1)),
-    ((2, 2), 6): _gp(_t(F(11, 4), g1=2, g4=1), _t(F(13, 4), g1=1, g2=1, g3=1),
-                     _t(9, g1=1, g5=1), _t(F(1, 4), g2=3), _t(F(19, 4), g2=1, g4=1),
-                     _t(F(11, 4), g3=2), _t(F(25, 4), g6=1)),
-}
+B4_PRINTED = _polys({
+    ((2,), 1): (F(1, 2), {(1,): 1}),
+    ((2,), 3): (F(1, 2), {(0, 0, 1): 1}),
+    ((3,), 2): (F(1, 3), {(2,): 1, (0, 1): 1}),
+    ((3,), 4): (F(1, 3), {(0, 2): 1, (1, 0, 1): 4, (0, 0, 0, 1): 5}),
+    ((2, 1), 3): (F(1, 2), {(1, 1): 2, (0, 0, 1): 3}),
+    ((2, 1), 5): (F(1, 2), {(1, 0, 0, 1): 6, (0, 1, 1): 4, (0, 0, 0, 0, 1): 11}),
+    ((4,), 3): (F(1, 4), {(3,): 1, (1, 1): 3, (0, 0, 1): 1}),
+    ((4,), 5): (F(1, 4), {(2, 0, 1): 10, (1, 2): 5, (1, 0, 0, 1): 25, (0, 1, 1): 15,
+                          (0, 0, 0, 0, 1): 15}),
+    ((3, 1), 4): (F(1, 3), {(2, 1): 3, (0, 2): 4, (1, 0, 1): 10, (0, 0, 0, 1): 8}),
+    ((3, 1), 6): (1, {(2, 0, 0, 1): 6, (1, 1, 1): 8, (1, 0, 0, 0, 1): 24, (0, 3): 1,
+                      (0, 1, 0, 1): 16, (0, 0, 2): 7, (0, 0, 0, 0, 0, 1): 22}),
+    ((2, 2), 4): (F(1, 4), {(2, 1): 2, (0, 2): 1, (1, 0, 1): 4, (0, 0, 0, 1): 2}),
+    ((2, 2), 6): (F(1, 4), {(2, 0, 0, 1): 11, (1, 1, 1): 13, (1, 0, 0, 0, 1): 36, (0, 3): 1,
+                            (0, 1, 0, 1): 19, (0, 0, 2): 11, (0, 0, 0, 0, 0, 1): 25}),
+})
 
-B5_PRINTED = {
-    ((2,), 1): B4_PRINTED[((2,), 1)],
-    ((2,), 3): B4_PRINTED[((2,), 3)],
-    ((3,), 2): B4_PRINTED[((3,), 2)],
-    ((3,), 4): B4_PRINTED[((3,), 4)],
-    ((2, 1), 3): _gp(_t(1, g1=1, g2=1), _t(1, g3=1)),
-    ((2, 1), 5): _gp(_t(3, g1=1, g4=1), _t(2, g2=1, g3=1), _t(5, g5=1)),
-    ((4,), 3): B4_PRINTED[((4,), 3)],
+# B5 prints B4's values again in these cells
+B5_PRINTED = {key: B4_PRINTED[key] for key in [((2,), 1), ((2,), 3), ((3,), 2), ((3,), 4),
+                                              ((4,), 3), ((2, 2), 4)]} | _polys({
+    ((2, 1), 3): (1, {(1, 1): 1, (0, 0, 1): 1}),
+    ((2, 1), 5): (1, {(1, 0, 0, 1): 3, (0, 1, 1): 2, (0, 0, 0, 0, 1): 5}),
     # the d = 5 row prints "25/4 g_4" (not 25/4 g_1 g_4); transcribed literally
-    ((4,), 5): _gp(_t(F(5, 2), g1=2, g3=1), _t(F(5, 4), g1=1, g2=2),
-                   _t(F(25, 4), g4=1), _t(F(15, 4), g2=1, g3=1), _t(F(15, 4), g5=1)),
-    ((3, 1), 4): _gp(_t(1, g1=2, g2=1), _t(1, g2=2), _t(2, g1=1, g3=1), _t(1, g4=1)),
-    ((3, 1), 6): _gp(_t(6, g1=2, g4=1), _t(8, g1=1, g2=1, g3=1), _t(20, g1=1, g5=1),
-                     _t(1, g2=3), _t(14, g2=1, g4=1), _t(6, g3=2), _t(15, g6=1)),
-    ((2, 2), 4): B4_PRINTED[((2, 2), 4)],
-    ((2, 2), 6): _gp(_t(F(11, 4), g1=2, g4=1), _t(F(13, 4), g1=1, g2=1, g3=1),
-                     _t(F(35, 4), g1=1, g5=1), _t(F(1, 4), g2=3),
-                     _t(F(19, 4), g2=1, g4=1), _t(F(5, 2), g3=2), _t(F(25, 4), g6=1)),
-}
+    ((4,), 5): (F(1, 4), {(2, 0, 1): 10, (1, 2): 5, (0, 0, 0, 1): 25, (0, 1, 1): 15,
+                          (0, 0, 0, 0, 1): 15}),
+    ((3, 1), 4): (1, {(2, 1): 1, (0, 2): 1, (1, 0, 1): 2, (0, 0, 0, 1): 1}),
+    ((3, 1), 6): (1, {(2, 0, 0, 1): 6, (1, 1, 1): 8, (1, 0, 0, 0, 1): 20, (0, 3): 1,
+                      (0, 1, 0, 1): 14, (0, 0, 2): 6, (0, 0, 0, 0, 0, 1): 15}),
+    ((2, 2), 6): (F(1, 4), {(2, 0, 0, 1): 11, (1, 1, 1): 13, (1, 0, 0, 0, 1): 35, (0, 3): 1,
+                            (0, 1, 0, 1): 19, (0, 0, 2): 10, (0, 0, 0, 0, 0, 1): 25}),
+})
 
 # -- B6/B7: generic values, profile length 3 ------------------------------
 
-B6_PRINTED = {
-    ((1, 1, 1), 2): _t(F(1, 2), g2=1),
-    ((2, 1, 1), 3): _sc(F(5, 4), _t(1, g1=1, g2=1), _t(1, g3=1)),
-    ((2, 2, 1), 2): _t(F(1, 8), g1=2),
-    ((2, 2, 1), 4): _gp(_t(1, g1=2, g2=1), _t(F(1, 4), g2=2), _t(F(7, 4), g4=1)),
-    ((3, 2, 1), 3): _sc(F(1, 6), _t(1, g1=3), _t(1, g1=1, g2=1)),
-    ((3, 2, 1), 5): _gp(
-        _sc(F(1, 6), _t(11, g1=3, g2=1), _t(31, g1=2, g3=1), _t(15, g2=1, g3=1),
-            _t(18, g1=1, g2=2), _t(26, g1=1, g4=1)),
-        _t(1, g5=1),
-    ),
-}
+B6_PRINTED = _polys({
+    ((1, 1, 1), 2): (F(1, 2), {(0, 1): 1}),
+    ((2, 1, 1), 3): (F(5, 4), {(1, 1): 1, (0, 0, 1): 1}),
+    ((2, 2, 1), 2): (F(1, 8), {(2,): 1}),
+    ((2, 2, 1), 4): (F(1, 4), {(2, 1): 4, (0, 2): 1, (0, 0, 0, 1): 7}),
+    ((3, 2, 1), 3): (F(1, 6), {(3,): 1, (1, 1): 1}),
+    # printed as 1/6 (11 g1^3 g2 + 31 g1^2 g3 + 15 g2 g3 + 18 g1 g2^2 + 26 g1 g4) + g5
+    ((3, 2, 1), 5): (F(1, 6), {(3, 1): 11, (2, 0, 1): 31, (0, 1, 1): 15, (1, 2): 18,
+                               (1, 0, 0, 1): 26, (0, 0, 0, 0, 1): 6}),
+})
 
-B7_PRINTED = {
-    ((1, 1, 1), 4): _sc(F(1, 3), _t(1, g2=2), _t(1, g1=1, g3=1), _t(2, g4=1)),
-    ((2, 1, 1), 5): _sc(F(1, 2), _t(2, g1=2, g3=1), _t(7, g2=1, g3=1),
-                        _t(3, g1=1, g2=2), _t(7, g1=1, g4=1), _t(5, g5=1)),
-    ((2, 1, 1), 7): _gp(_t(5, g2=2, g3=1), _t(22, g3=1, g4=1), _t(10, g1=2, g5=1),
-                        _t(15, g1=1, g2=1, g4=1), _t(30, g2=1, g5=1),
-                        _t(5, g1=1, g3=2), _t(40, g1=1, g6=1), _t(35, g7=1)),
-    ((2, 2, 1), 6): _gp(_t(1, g2=3), _t(1, g1=3, g3=1), _t(5, g2=1, g4=1),
-                        _t(2, g1=2, g2=2), _t(5, g1=2, g4=1),
-                        _t(9, g1=1, g2=1, g3=1), _t(7, g1=1, g5=1),
-                        _t(3, g3=2), _t(3, g6=1)),
-    ((2, 2, 2), 7): _sc(F(1, 6), _t(2, g1=4, g3=1), _t(11, g2=2, g3=1),
-                        _t(17, g3=1, g4=1), _t(5, g1=3, g2=2), _t(13, g1=3, g4=1),
-                        _t(13, g2=1, g5=1), _t(33, g1=2, g2=1, g3=1),
-                        _t(27, g1=2, g5=1), _t(7, g1=1, g2=3), _t(22, g1=1, g3=2),
-                        _t(36, g1=1, g2=1, g4=1), _t(23, g1=1, g6=1), _t(7, g7=1)),
-    ((3, 2, 1), 7): _gp(_t(2, g1=4, g3=1), _t(18, g2=2, g3=1), _t(17, g3=1, g4=1),
-                        _t(5, g1=3, g2=2), _t(13, g1=3, g4=1), _t(18, g2=1, g5=1),
-                        _t(35, g1=2, g2=1, g3=1), _t(27, g1=2, g5=1),
-                        _t(10, g1=1, g2=3), _t(22, g1=1, g3=2),
-                        _t(43, g1=1, g2=1, g4=1), _t(23, g1=1, g6=1), _t(7, g7=1)),
-}
+B7_PRINTED = _polys({
+    ((1, 1, 1), 4): (F(1, 3), {(0, 2): 1, (1, 0, 1): 1, (0, 0, 0, 1): 2}),
+    ((2, 1, 1), 5): (F(1, 2), {(2, 0, 1): 2, (0, 1, 1): 7, (1, 2): 3, (1, 0, 0, 1): 7,
+                               (0, 0, 0, 0, 1): 5}),
+    ((2, 1, 1), 7): (1, {(0, 2, 1): 5, (0, 0, 1, 1): 22, (2, 0, 0, 0, 1): 10, (1, 1, 0, 1): 15,
+                         (0, 1, 0, 0, 1): 30, (1, 0, 2): 5, (1, 0, 0, 0, 0, 1): 40,
+                         (0, 0, 0, 0, 0, 0, 1): 35}),
+    ((2, 2, 1), 6): (1, {(0, 3): 1, (3, 0, 1): 1, (0, 1, 0, 1): 5, (2, 2): 2, (2, 0, 0, 1): 5,
+                         (1, 1, 1): 9, (1, 0, 0, 0, 1): 7, (0, 0, 2): 3, (0, 0, 0, 0, 0, 1): 3}),
+    ((2, 2, 2), 7): (F(1, 6), {(4, 0, 1): 2, (0, 2, 1): 11, (0, 0, 1, 1): 17, (3, 2): 5,
+                               (3, 0, 0, 1): 13, (0, 1, 0, 0, 1): 13, (2, 1, 1): 33,
+                               (2, 0, 0, 0, 1): 27, (1, 3): 7, (1, 0, 2): 22, (1, 1, 0, 1): 36,
+                               (1, 0, 0, 0, 0, 1): 23, (0, 0, 0, 0, 0, 0, 1): 7}),
+    ((3, 2, 1), 7): (1, {(4, 0, 1): 2, (0, 2, 1): 18, (0, 0, 1, 1): 17, (3, 2): 5,
+                         (3, 0, 0, 1): 13, (0, 1, 0, 0, 1): 18, (2, 1, 1): 35, (2, 0, 0, 0, 1): 27,
+                         (1, 3): 10, (1, 0, 2): 22, (1, 1, 0, 1): 43, (1, 0, 0, 0, 0, 1): 23,
+                         (0, 0, 0, 0, 0, 0, 1): 7}),
+})
 
 # -- B8/B9: exponential specializations -----------------------------------
 
@@ -224,56 +195,56 @@ B9_PRINTED = {
 
 # -- B10-B13: quantum specializations --------------------------------------
 
-B10_PRINTED = {
-    ((2,), 1): _qv([1], 2, 1), ((2,), 3): _qv([1], 2, 3),
-    ((3,), 2): _qv([2, 1], 3, 3),
-    ((3,), 4): _qv([10, 5, 6, 5, 1], 3, 4),
-    ((2, 1), 3): _qv([5, 2, 2], 2, 3),
-    ((2, 1), 5): _qv([21, 10, 14, 14, 14, 4, 4], 2, 5),
-    ((4,), 3): _qv([5, 5, 5, 1], 4, 3),
-    ((4,), 5): _qv([70, 70, 105, 120, 125, 70, 55, 20, 5], 4, 5),
-    ((3, 1), 4): _qv([25, 20, 27, 23, 10, 3], 3, 4),
-    ((3, 1), 6): _qv([84, 77, 125, 156, 198, 191, 163, 124, 94, 52, 21, 10, 1], 1, 6),
-    ((2, 2), 4): _qv([10, 10, 13, 12, 5, 2], 4, 4),
-    ((2, 2), 6): _qv([231, 231, 370, 469, 589, 579, 489, 378, 281, 161, 62, 30, 2], 8, 6),
-}
+B10_PRINTED = _quantum({
+    ((2,), 1): ([1], 2, 1), ((2,), 3): ([1], 2, 3),
+    ((3,), 2): ([2, 1], 3, 3),
+    ((3,), 4): ([10, 5, 6, 5, 1], 3, 4),
+    ((2, 1), 3): ([5, 2, 2], 2, 3),
+    ((2, 1), 5): ([21, 10, 14, 14, 14, 4, 4], 2, 5),
+    ((4,), 3): ([5, 5, 5, 1], 4, 3),
+    ((4,), 5): ([70, 70, 105, 120, 125, 70, 55, 20, 5], 4, 5),
+    ((3, 1), 4): ([25, 20, 27, 23, 10, 3], 3, 4),
+    ((3, 1), 6): ([84, 77, 125, 156, 198, 191, 163, 124, 94, 52, 21, 10, 1], 1, 6),
+    ((2, 2), 4): ([10, 10, 13, 12, 5, 2], 4, 4),
+    ((2, 2), 6): ([231, 231, 370, 469, 589, 579, 489, 378, 281, 161, 62, 30, 2], 8, 6),
+})
 
-B11_PRINTED = {
-    ((2,), 1): _qv([1], 2, 1),
-    ((2,), 3): _qv([1], 2, 2),  # printed with (q;q)_2
-    ((3,), 2): _qv([2, 1], 3, 3),
-    ((3,), 4): _qv([10, 5, 6, 5, 1], 3, 4),
-    ((2, 1), 3): _qv([2, 1, 1], 1, 3),
-    ((2, 1), 5): _qv([10, 5, 7, 7, 7, 2, 2], 1, 5),
-    ((4,), 3): _qv([5, 5, 5, 1], 4, 3),
-    ((4,), 5): _qv([70, 70, 105, 120, 125, 70, 55, 20, 5], 4, 5),
-    ((3, 1), 4): _qv([5, 5, 7, 6, 3, 1], 1, 4),
-    ((3, 1), 6): _qv([70, 70, 115, 145, 185, 180, 156, 120, 91, 51, 21, 10, 1], 1, 6),
-    ((2, 2), 4): _qv([9, 9, 12, 11, 5, 2], 4, 4),
-    ((2, 2), 6): _qv([114, 114, 183, 232, 292, 287, 243, 188, 140, 80, 31, 15, 1], 4, 6),
-}
+B11_PRINTED = _quantum({
+    ((2,), 1): ([1], 2, 1),
+    ((2,), 3): ([1], 2, 2),  # printed with (q;q)_2
+    ((3,), 2): ([2, 1], 3, 3),
+    ((3,), 4): ([10, 5, 6, 5, 1], 3, 4),
+    ((2, 1), 3): ([2, 1, 1], 1, 3),
+    ((2, 1), 5): ([10, 5, 7, 7, 7, 2, 2], 1, 5),
+    ((4,), 3): ([5, 5, 5, 1], 4, 3),
+    ((4,), 5): ([70, 70, 105, 120, 125, 70, 55, 20, 5], 4, 5),
+    ((3, 1), 4): ([5, 5, 7, 6, 3, 1], 1, 4),
+    ((3, 1), 6): ([70, 70, 115, 145, 185, 180, 156, 120, 91, 51, 21, 10, 1], 1, 6),
+    ((2, 2), 4): ([9, 9, 12, 11, 5, 2], 4, 4),
+    ((2, 2), 6): ([114, 114, 183, 232, 292, 287, 243, 188, 140, 80, 31, 15, 1], 4, 6),
+})
 
-B12_PRINTED = {
-    ((1, 1, 1), 2): _qv([1], 2, 2),
-    ((2, 1, 1), 3): _qv([10, 5, 5], 4, 3),
-    ((2, 2, 1), 2): _qv([1, 1], 8, 2),
-    ((2, 2, 1), 4): _qv([14, 16, 21, 20, 9, 4], 4, 4),
-    ((3, 2, 1), 3): _qv([2, 3, 3, 1], 6, 3),
-    ((3, 2, 1), 5): _qv([107, 172, 287, 369, 409, 319, 248, 133, 51, 11], 6, 5),
-}
+B12_PRINTED = _quantum({
+    ((1, 1, 1), 2): ([1], 2, 2),
+    ((2, 1, 1), 3): ([10, 5, 5], 4, 3),
+    ((2, 2, 1), 2): ([1, 1], 8, 2),
+    ((2, 2, 1), 4): ([14, 16, 21, 20, 9, 4], 4, 4),
+    ((3, 2, 1), 3): ([2, 3, 3, 1], 6, 3),
+    ((3, 2, 1), 5): ([107, 172, 287, 369, 409, 319, 248, 133, 51, 11], 6, 5),
+})
 
-B13_PRINTED = {
-    ((1, 1, 1), 4): _qv([4, 2, 3, 2, 1], 3, 4),
-    ((2, 1, 1), 5): _qv([24, 24, 39, 44, 47, 28, 23, 8, 3], 2, 5),
-    ((2, 1, 1), 7): _qv([162, 162, 279, 371, 518, 593, 685, 598, 598, 491,
-                         404, 257, 182, 90, 50, 15, 5], 1, 7),
-    ((2, 2, 1), 6): _qv([36, 54, 99, 141, 189, 207, 204, 179, 143, 97,
-                         53, 28, 8, 2], 1, 6),
-    ((2, 2, 2), 7): _qv([216, 432, 891, 1485, 2295, 3099, 3922, 4377, 4689, 4567,
-                         4157, 3435, 2655, 1837, 1173, 638, 301, 117, 29, 5], 6, 7),
-    ((3, 2, 1), 7): _qv([240, 480, 1002, 1664, 2584, 3484, 4416, 4927, 5288, 5139,
-                         4687, 3863, 2990, 2063, 1319, 711, 338, 128, 32, 5], 1, 7),
-}
+B13_PRINTED = _quantum({
+    ((1, 1, 1), 4): ([4, 2, 3, 2, 1], 3, 4),
+    ((2, 1, 1), 5): ([24, 24, 39, 44, 47, 28, 23, 8, 3], 2, 5),
+    ((2, 1, 1), 7): ([162, 162, 279, 371, 518, 593, 685, 598, 598, 491,
+                      404, 257, 182, 90, 50, 15, 5], 1, 7),
+    ((2, 2, 1), 6): ([36, 54, 99, 141, 189, 207, 204, 179, 143, 97,
+                      53, 28, 8, 2], 1, 6),
+    ((2, 2, 2), 7): ([216, 432, 891, 1485, 2295, 3099, 3922, 4377, 4689, 4567,
+                      4157, 3435, 2655, 1837, 1173, 638, 301, 117, 29, 5], 6, 7),
+    ((3, 2, 1), 7): ([240, 480, 1002, 1664, 2584, 3484, 4416, 4927, 5288, 5139,
+                      4687, 3863, 2990, 2063, 1319, 711, 338, 128, 32, 5], 1, 7),
+})
 
 # cells where the published value conflicts with the pipeline consensus
 KNOWN_ERRATA = {

@@ -27,9 +27,8 @@ it is a formatter only and is never used for equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .algebra import GPoly
 from .qrational import QRat, _poly_str, q_multinomial
@@ -38,17 +37,24 @@ MODEL_KINDS = ("generic", "exp", "rational", "dual", "quantum", "taylor")
 PRETTY_MAX_INDEX = 24       # the largest m that qrat_pretty writes as (q;q)_m
 
 
-@dataclass(frozen=True)
-class WeightModel:
+class _ModelFields(NamedTuple):
     kind: str
     c: tuple[Fraction, ...] = ()
     d: tuple[Fraction, ...] = ()
     q: Fraction | None = None
     coeffs: tuple[Fraction, ...] = ()
 
-    def __post_init__(self):
+
+class WeightModel(_ModelFields):
+    """An immutable weight model; ValueError for an unknown kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown weight model kind {self.kind!r}")
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -117,7 +123,7 @@ def parse_model(text: str) -> WeightModel:
         if head == "quantum":
             return WeightModel.quantum(None if not rest else _parse_q(rest))
         if head == "taylor":
-            return WeightModel.taylor([Fraction(x) for x in rest.split(",") if x])
+            return WeightModel.taylor(_numbers(rest))
         if head == "rational":
             params: dict[str, list[Fraction]] = {}
             for clause in rest.split(";"):
@@ -129,18 +135,26 @@ def parse_model(text: str) -> WeightModel:
                     raise ValueError(f"unknown rational parameter {key!r}")
                 if key in params:
                     raise ValueError(f"repeated rational parameter {key!r}")
-                params[key] = [Fraction(x) for x in vals.split(",") if x]
+                params[key] = _numbers(vals)
             return WeightModel.rational(params.get("c", ()), params.get("d", ()))
         if head == "dual":
             key, _, vals = rest.partition("=")
             if key != "d":
                 raise ValueError("dual model takes d=...")
-            return WeightModel.dual([Fraction(x) for x in vals.split(",") if x])
+            return WeightModel.dual(_numbers(vals))
     except ValueError as exc:
         raise ValueError(f"bad weight model {text!r}: {exc}") from None
     except ZeroDivisionError:
         raise ValueError(f"bad weight model {text!r}: zero denominator") from None
     raise ValueError(f"bad weight model {text!r}")
+
+
+def _numbers(text: str) -> list[Fraction]:
+    """Comma-separated rationals; "" is the empty list, an empty item an error."""
+    items = text.split(",") if text else []
+    if "" in items:
+        raise ValueError("empty item in a list")
+    return [Fraction(x) for x in items]
 
 
 def _parse_q(rest: str) -> Fraction:

@@ -3,10 +3,17 @@ three pipelines import none of each other's modules nor the request policy,
 and the shared modules import no pipeline."""
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hurwitz
+from hurwitz import HurwitzResult, WeightModel, compute, parse_model
+from hurwitz.oracle import FactorizationQuery
 
 PIPELINES = ("tau", "correlator", "oracle")
 SHARED = ("algebra", "series", "partitions", "qrational", "weights")
@@ -39,6 +46,57 @@ def test_readme_quick_tour():
     # the definitional check, nonconnected by default
     assert weighted_from_definition((2, 1), 3, third) == specialize(h, third)
     assert weighted_from_definition((2, 1), 3, third, connected=True) == Fraction(891, 208)
+
+
+# -- the three records: validation, immutability, equality, JSON ----------
+
+
+def test_records_validate_their_fields():
+    with pytest.raises(ValueError, match="unknown weight model kind 'bogus'"):
+        WeightModel("bogus")
+    with pytest.raises(ValueError, match="unequal weight"):
+        FactorizationQuery(((2,), (3,)))
+
+
+@pytest.mark.parametrize("record, field", [
+    (WeightModel.exponential(), "kind"),
+    (FactorizationQuery(((2,), (1, 1))), "classes"),
+    (compute((2,), 1), "value"),
+])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_equal_records_compare_and_hash_equal():
+    pairs = [(WeightModel.rational([1, 2], [3]), parse_model("rational:c=1,2;d=3")),
+             (FactorizationQuery(((2,), (2,)), True), FactorizationQuery(((2,), (2,)), True)),
+             (compute((2, 1), 3, connected=True), compute([1, 2], 3, connected=True))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert WeightModel.quantum() != WeightModel.quantum(Fraction(1, 3))
+    assert FactorizationQuery(((2,), (2,))) != FactorizationQuery(((2,), (2,)), True)
+
+
+def test_weight_model_repr():
+    assert repr(WeightModel.exponential()) == (
+        "WeightModel(kind='exp', c=(), d=(), q=None, coeffs=())")
+
+
+@pytest.mark.parametrize("model", ["generic", "exp", "rational:c=1;d=1/2", "dual:d=2",
+                                   "quantum", "quantum:q=1/3", "taylor:1,1/2,1/3,1/4,1/5"])
+def test_results_round_trip_through_json(model):
+    result = compute((3, 1), 4, parse_model(model), connected=True)
+    assert HurwitzResult.from_json(result.to_json()) == result
+
+
+def test_import_loads_no_dataclasses():
+    # a fresh process pays for every module `import hurwitz.cli` loads
+    src = str(Path(hurwitz.__file__).resolve().parents[1])
+    code = "import sys, hurwitz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def _tree(module):

@@ -352,6 +352,16 @@ def test_zero_denominator_weight_model(capsys, model):
     assert err.splitlines() == [f"hurwitz: error: bad weight model {model!r}: zero denominator"]
 
 
+@pytest.mark.parametrize("model", ["taylor:1,,1/2", "rational:c=1,,2;d=3", "dual:d=,1",
+                                   "taylor:1,"])
+def test_empty_list_item_in_weight_model(capsys, model):
+    # an empty item would shift every later coefficient down one place
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"hurwitz: error: bad weight model {model!r}: empty item in a list"]
+
+
 @pytest.mark.parametrize("model", ["rational:c=1;c=2", "rational:c=1;d=2;c=1"])
 def test_repeated_rational_parameter(capsys, model):
     code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)

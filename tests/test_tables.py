@@ -1,6 +1,9 @@
 """Published-table comparisons and the frozen errata set."""
 
-from hurwitz import verify
+import hashlib
+import json
+
+from hurwitz import tables, verify
 from hurwitz.tables import (
     KNOWN_ERRATA,
     QUICK_TABLE_IDS,
@@ -77,3 +80,24 @@ def test_quick_suite_compares_the_quick_tables(monkeypatch):
     monkeypatch.setattr(verify, "compare_tables", recording)
     assert all(result.passed for result in verify.run_suite("quick"))
     assert tuple(compared) == QUICK_TABLE_IDS
+
+
+# every published cell, in this order; each mapping in sorted key order
+PUBLISHED = ("A1_PRINTED", "A2_PRINTED", "A2_CORNER", "A3_PRINTED", "A3_CORNER",
+             "B4_PRINTED", "B5_PRINTED", "B6_PRINTED", "B7_PRINTED", "B8_PRINTED",
+             "B9_PRINTED", "B10_PRINTED", "B11_PRINTED", "B12_PRINTED", "B13_PRINTED")
+
+
+def test_published_cells_are_pinned():
+    # the transcription itself, typos included, as one digest: each cell as
+    # (name, key, value.to_json()), and a Fraction as its str
+    digest, count = hashlib.sha256(), 0
+    for name in PUBLISHED:
+        data = getattr(tables, name)
+        for key, value in sorted(data.items()) if isinstance(data, dict) else [(None, data)]:
+            shown = [str(v) for v in value] if isinstance(value, tuple) else value.to_json()
+            digest.update(json.dumps([name, key, shown]).encode())
+            count += 1
+    assert count == 151
+    assert digest.hexdigest() == (
+        "b7b14b9b9e055cf815a83dd8e8e5cc52363e5adb1ba2fbe236c8362bfaed5f10")
