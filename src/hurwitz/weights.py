@@ -130,16 +130,18 @@ def parse_model(text: str) -> WeightModel:
                 clause = clause.strip()
                 if not clause:
                     continue
-                key, _, vals = clause.partition("=")
+                key, eq, vals = clause.partition("=")
                 if key not in ("c", "d"):
                     raise ValueError(f"unknown rational parameter {key!r}")
+                if not eq:
+                    raise ValueError(f"rational parameter {key!r} takes {key}=...")
                 if key in params:
                     raise ValueError(f"repeated rational parameter {key!r}")
                 params[key] = _numbers(vals)
             return WeightModel.rational(params.get("c", ()), params.get("d", ()))
         if head == "dual":
-            key, _, vals = rest.partition("=")
-            if key != "d":
+            key, eq, vals = rest.partition("=")
+            if key != "d" or not eq:
                 raise ValueError("dual model takes d=...")
             return WeightModel.dual(_numbers(vals))
     except ValueError as exc:

@@ -174,7 +174,8 @@ def test_pipelines_are_independent():
     for module in SHARED:
         names = {name for name, _ in _imports(module)}
         assert not names & {*PIPELINES, "tables", "verify", "cli"}, (module, names)
-    # the power products and the conversion to g are read in `series` only
+    # the trie walk is read in `series` only
     for path in Path(hurwitz.__file__).parent.glob("*.py"):
         if path.stem != "series":
-            assert not _identifiers(path.stem) & {"power_products", "to_gpoly"}, path.stem
+            assert "_trie_walk" not in _identifiers(path.stem), path.stem
+    assert "_trie_walk" in _identifiers("series")

@@ -370,6 +370,17 @@ def test_repeated_rational_parameter(capsys, model):
         f"hurwitz: error: bad weight model {model!r}: repeated rational parameter 'c'"]
 
 
+@pytest.mark.parametrize("model, reason", [
+    ("rational:c", "rational parameter 'c' takes c=..."),
+    ("rational:c=1;d", "rational parameter 'd' takes d=..."),
+    ("dual:d", "dual model takes d=...")])
+def test_weight_parameter_without_equals_sign(capsys, model, reason):
+    # a truncated model string must not run as the model with an empty list
+    code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d", "1", "--weights", model)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"hurwitz: error: bad weight model {model!r}: {reason}"]
+
+
 @pytest.mark.parametrize("text", ["3", "a:b", "1:2:3", ":", "5:3"])
 def test_bad_d_range(capsys, text):
     code, out, err = run_cli(capsys, "compute", "--mu", "2", "--d-range", text)

@@ -21,7 +21,7 @@ from hurwitz.correlator import (
     wtilde_coeff,
 )
 from hurwitz.partitions import nonconnected_from_connected, partitions_of
-from hurwitz.series import b_terms, power_products
+from hurwitz.series import b_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
 g = GPoly.var
@@ -191,20 +191,23 @@ def test_sweep_orders_agree_with_tau_in_any_question_order():
 
 def test_cycle_sum_expands_each_power_sum_vector_once(monkeypatch):
     # factor tuples that permute one multiset share their power sums, so
-    # the cycle sum expands that vector once; weights that cancel expand none
+    # the cycle sum walks that vector once; weights that cancel walk none
     terms = [(1, ((0, 1), (1, 0), (2, 2))), (2, ((1, 0), (2, 2), (0, 1))),
              (1, ((2, 2), (0, 1), (1, 0))), (3, ((4, 4),)), (-3, ((4, 4),))]
     want = sum(((rho_coeff(0, 1, k) * rho_coeff(1, 0, j) * rho_coeff(2, 2, 6 - k - j)).scale(4)
                 for k in range(7) for j in range(7 - k)), GPoly.zero())
+    walk = series._trie_walk
     calls = []
 
-    def counted(p, d):
-        calls.append(tuple(p))
-        return power_products(p, d)
+    def counted(n, top, prods, cols, *rest):
+        if n == len(cols):              # the entry of a walk over rho |- n
+            calls.append(list(zip(*cols)))
+        return walk(n, top, prods, cols, *rest)
 
-    monkeypatch.setattr(series, "power_products", counted)
+    monkeypatch.setattr(series, "_trie_walk", counted)
     assert _cycle_sum(9, 6, terms) == want
-    assert len(calls) == 1
+    assert [len(vectors) for vectors in calls] == [1]
     calls.clear()
     assert connected_len3(3, 3, 3, 10)
-    assert len(calls) == len(set(calls)), len(calls) - len(set(calls))
+    vectors = [s for entry in calls for s in entry]
+    assert calls and len(vectors) == len(set(vectors)), len(vectors) - len(set(vectors))

@@ -7,15 +7,18 @@ from fractions import Fraction
 from hurwitz import correlator, series, tau
 from hurwitz.algebra import GPoly
 from hurwitz.partitions import partitions_of, z_of
-from hurwitz.series import b_terms, exponent, power_products, power_sum_total, rhos, to_gpoly
+from hurwitz.series import b_terms, exponent, power_sum_total
 
 g = GPoly.var
 
 
+def _power_sums(multipliers: tuple[int, ...], k: int) -> list[int]:
+    return [sum(m ** j for m in multipliers) for j in range(1, k + 1)]
+
+
 def _coeff(multipliers: tuple[int, ...], k: int) -> GPoly:
     """[beta^k] prod_i G(m_i beta) through the power-sum identity."""
-    p = [sum(m ** j for m in multipliers) for j in range(1, k + 1)]
-    return to_gpoly(power_products(p, k), k)
+    return power_sum_total([(1, _power_sums(multipliers, k))], k)
 
 
 def test_product_example_g1_g2beta():
@@ -97,48 +100,73 @@ def test_newton_b_matches_log_coefficients():
         assert _b(k) == logs[k].scale(k), k
 
 
-def test_power_products_and_to_gpoly_follow_rho():
-    b = [GPoly.one()] + [_b(k) for k in range(1, 10)]
+def _naive_total(pairs, d: int, den: int = 1) -> GPoly:
+    """sum over (w, s) and rho |- d of w p_rho(s) b^rho / z_rho, divided by den."""
+    b = [GPoly.one()] + [_b(k) for k in range(1, d + 1)]
+    acc = GPoly.zero()
+    for w, s in pairs:
+        for rho in partitions_of(d):
+            x = Fraction(w * math.prod(s[k - 1] for k in rho), z_of(rho) * den)
+            acc = acc + math.prod((b[k] for k in rho), start=GPoly.const(x))
+    return acc
+
+
+def test_power_sum_total_matches_the_sum_over_rho():
+    # dense, mostly zero and zero power-sum vectors, one walk each
     for d in range(10):
-        assert rhos(d) == tuple(partitions_of(d))
         rng = random.Random(d)
-        p = [rng.randint(-9, 9) for _ in range(d)]
-        assert power_products(p, d) == [math.prod(p[k - 1] for k in rho) for rho in rhos(d)]
-        # dense, mostly zero and zero vectors against sum of v_rho prod b_k / z_rho
-        n = len(rhos(d))
-        for v in ([rng.randint(-9, 9) for _ in range(n)],
-                  [rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)],
-                  [0] * n):
-            want = sum((math.prod((b[k] for k in rho), start=GPoly.const(Fraction(x, z_of(rho))))
-                        for rho, x in zip(rhos(d), v)), GPoly.zero())
-            assert to_gpoly(v, d, 3) == want.scale(Fraction(1, 3)), (d, v)
+        for s in ([rng.randint(-9, 9) for _ in range(d)],
+                  [rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(d)],
+                  [0] * d):
+            w = rng.randint(-5, 5) or 1
+            assert power_sum_total([(w, s)], d, 3) == _naive_total([(w, s)], d, 3), (d, s)
 
 
 def test_power_sum_total_sums_its_terms():
-    # repeated vectors, zero weights and weights that cancel to 0 against
-    # one conversion per pair
+    # repeated vectors, zero weights and weights that cancel to 0, against
+    # the sum over rho of every pair
     rng = random.Random(17)
     for d in range(9):
         vectors = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(4)]
         pairs = [(rng.choice((0, rng.randint(-5, 5))), rng.choice(vectors)) for _ in range(10)]
         pairs += [(7, vectors[0]), (-7, vectors[0])]
-        want = sum((to_gpoly(power_products(s, d), d).scale(w) for w, s in pairs), GPoly.zero())
-        assert power_sum_total(pairs, d, 5) == want.scale(Fraction(1, 5)), (d, pairs)
+        assert power_sum_total(pairs, d, 5) == _naive_total(pairs, d, 5), (d, pairs)
         assert power_sum_total([(3, vectors[1]), (-3, vectors[1])], d).is_zero()
 
 
+def test_power_sum_total_edge_cases_match_composition_sum():
+    # (weight, multipliers) lists against sum of w [beta^d] prod G(m_i beta) / den
+    # through the composition sum
+    def check(pairs, d, den):
+        want = sum((_naive_coeff(m, d).scale(w) for w, m in pairs), GPoly.zero())
+        got = power_sum_total([(w, _power_sums(m, d)) for w, m in pairs], d, den)
+        assert got == want.scale(Fraction(1, den)), (pairs, d, den)
+
+    # d = 0 is the constant sum of the weights over den
+    check([(3, (1, 2)), (-5, (4,)), (4, (-3, -3))], 0, 7)
+    assert power_sum_total([(3, ()), (4, ())], 0, 2) == GPoly.const(Fraction(7, 2))
+    for d in range(11):
+        check([], d, 1)
+        check([(2, (1, -3)), (-2, (-3, 1)), (5, (2,)), (-5, (2,))], d, 3)
+        # odd power sums of symmetric multipliers vanish
+        check([(1, (-2, -1, 0, 1, 2))], d, 1)
+        check([(3, (-1, -4)), (-2, (-2, -2, -3)), (1, (-5,))], d, 2)
+
+
 def test_series_state_stays_bounded():
-    # the conversion keeps no table per rho: every cache holds at most one
-    # entry per degree or part
-    caches = [f for f in vars(series).values()
-              if hasattr(f, "cache_info") and f.__module__ == series.__name__]
-    for cache in caches:
+    # the walk keeps no table per rho: series holds two caches, each with
+    # at most one entry per degree or part
+    caches = {name: f for name, f in vars(series).items()
+              if hasattr(f, "cache_info") and f.__module__ == series.__name__}
+    assert len(caches) == 2, sorted(caches)
+    for cache in caches.values():
         cache.cache_clear()
     d = 20
     rng = random.Random(d)
-    assert to_gpoly([rng.randint(-9, 9) or 1 for _ in rhos(d)], d).is_homogeneous(d)
-    assert caches and all(f.cache_info().currsize <= d + 1 for f in caches), \
-        {f.__name__: f.cache_info().currsize for f in caches}
+    pairs = [(rng.randint(-9, 9) or 1, [rng.randint(-9, 9) for _ in range(d)]) for _ in range(3)]
+    assert power_sum_total(pairs, d).is_homogeneous(d)
+    assert all(f.cache_info().currsize <= d + 1 for f in caches.values()), \
+        {name: f.cache_info().currsize for name, f in caches.items()}
 
 
 def test_pipelines_keep_no_vector_over_rho():

@@ -17,7 +17,7 @@ from hurwitz.partitions import (
     partitions_of,
     set_partitions,
 )
-from hurwitz.series import power_products, power_sum_total, rhos
+from hurwitz.series import power_sum_total
 from hurwitz.tau import (
     _content_power_sums,
     connected_any,
@@ -57,7 +57,6 @@ def test_content_power_sums_match_the_sums_of_powers():
 def test_content_product_graded():
     for lam in [(3, 1), (2, 2), (4,), (2, 1, 1)]:
         for d in range(6):
-            assert len(power_products(_content_sums(lam, d), d)) == len(rhos(d))
             assert _content_value(lam, d).is_homogeneous(d)
 
 
