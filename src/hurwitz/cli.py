@@ -47,11 +47,7 @@ class HurwitzResult(NamedTuple):
 
     def value_json(self) -> Any:
         v = self.value
-        if isinstance(v, GPoly):
-            return v.to_json()
-        if isinstance(v, Fraction):
-            return str(v)
-        return v.to_json()
+        return str(v) if isinstance(v, Fraction) else v.to_json()
 
     def to_json(self) -> dict:
         return {

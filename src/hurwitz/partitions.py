@@ -3,9 +3,8 @@
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Characters chi_lambda(mu) are computed
 by the Murnaghan-Nakayama recursion in its beta-set form (first-column hook
-lengths), memoized in a module-level cache.  Cache insertion is idempotent
-and each entry is an int, so concurrent readers always observe consistent
-values.  `nonconnected_from_connected` is the exponential formula that the
+lengths); the recursion `_mn` is an `lru_cache`.
+`nonconnected_from_connected` is the exponential formula that the
 correlator and `verify` share; `partition_cache` is the per-process value
 cache that both generic pipelines put on their value functions.
 """
@@ -90,21 +89,20 @@ def _partitions_rec(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_of(n: int, cap: int = PARTITION_CAP) -> list[Partition]:
+def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"partitions_of({n}) exceeds cap {cap}")
+    if n > PARTITION_CAP:
+        raise CapExceeded(f"partitions_of({n}) exceeds cap {PARTITION_CAP}")
     return list(_partitions_rec(n, n))
 
 
 def z_of(mu: Iterable[int]) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
-    z = 1
-    for i, m in Counter(mu).items():
-        z *= math.factorial(m) * i ** m
-    return z
+    """Order of the centralizer of a permutation of cycle type mu,
+    prod_i i^{m_i} m_i!."""
+    mu = tuple(mu)
+    return aut_of(mu) * math.prod(mu)
 
 
 def aut_of(parts: Iterable[int]) -> int:
@@ -143,8 +141,6 @@ def contents(lam: Partition) -> list[int]:
 
 # -- characters ---------------------------------------------------------
 
-_char_cache: dict[tuple[Partition, Partition], int] = {}
-
 
 def character(lam: Partition, mu: Partition) -> int:
     """chi_lambda(mu) for |lam| = |mu|, by Murnaghan-Nakayama."""
@@ -155,13 +151,10 @@ def character(lam: Partition, mu: Partition) -> int:
     return _mn(lam, mu)
 
 
+@lru_cache(maxsize=None)
 def _mn(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    hit = _char_cache.get(key)
-    if hit is not None:
-        return hit
     k, rest = mu[0], mu[1:]
     n = len(lam)
     # beta-set (strictly decreasing first-column hook lengths); removing a
@@ -179,12 +172,7 @@ def _mn(lam: Partition, mu: Partition) -> int:
             v for v in (x - (n - 1 - i) for i, x in enumerate(new_beta)) if v > 0
         )
         total += (-1) ** height * _mn(new_lam, rest)
-    _char_cache[key] = total
     return total
-
-
-def character_cache_size() -> int:
-    return len(_char_cache)
 
 
 # -- numeric symmetric-function evaluators ------------------------------

@@ -21,7 +21,6 @@ cell is (P, s, m), the printed P(q) / (s (q;q)_m), P's coefficients ascending.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, nonconnected_assemble, rho_coeff
@@ -285,10 +284,10 @@ _B_TABLES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _consensus(mu: Partition, d: int, connected: bool) -> tuple[GPoly, tuple[str, ...]]:
     """The generic value and the pipelines that agree on it: tau, and the
-    closed forms for length <= 3.  Shared by every weight model's table."""
+    closed forms for length <= 3.  Shared by every weight model's table; it
+    holds no cache of its own, since each pipeline caches its values."""
     via_tau = connected_any(mu, d) if connected else hurwitz_any(mu, d)
     if len(mu) > 3:
         return via_tau, ("tau",)

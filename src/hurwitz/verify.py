@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import GPoly
 from .correlator import connected_closed_form, connected_via_wtilde, rho_coeff
@@ -28,13 +28,12 @@ from .tau import connected_any, hurwitz_any
 from .weights import WeightModel, specialize
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     seconds: float
     detail: str = ""
-    failures: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -46,7 +45,7 @@ class CheckResult:
 
 
 def _timed(name: str, failures: list[str], detail: str, t0: float) -> CheckResult:
-    return CheckResult(name, not failures, time.perf_counter() - t0, detail, failures)
+    return CheckResult(name, not failures, time.perf_counter() - t0, detail, tuple(failures))
 
 
 def _profiles(max_weight: int, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:

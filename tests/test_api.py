@@ -93,7 +93,8 @@ def test_results_round_trip_through_json(model):
 def test_import_loads_no_dataclasses():
     # a fresh process pays for every module `import hurwitz.cli` loads
     src = str(Path(hurwitz.__file__).resolve().parents[1])
-    code = "import sys, hurwitz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, hurwitz.cli, hurwitz.verify; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

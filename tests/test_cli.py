@@ -427,11 +427,7 @@ def test_table_csv(capsys):
 
 def test_pipeline_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(tables, "connected_closed_form", lambda mu, d: GPoly.var(1))
-    tables._consensus.cache_clear()
-    try:
-        code, _, err = run_cli(capsys, "table", "B5")
-    finally:
-        tables._consensus.cache_clear()
+    code, _, err = run_cli(capsys, "table", "B5")
     assert code == 3
     assert err.startswith("hurwitz: verification failed: pipeline disagreement")
     assert err.count("\n") == 1

@@ -7,12 +7,13 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from hurwitz import partitions
 from hurwitz.partitions import (
+    PARTITION_CAP,
     CapExceeded,
     as_partition,
     aut_of,
     character,
-    character_cache_size,
     colength,
     conjugate,
     contents,
@@ -32,8 +33,10 @@ def test_partitions_of_small():
 
 
 def test_partitions_cap():
-    with pytest.raises(CapExceeded):
-        partitions_of(31)
+    assert len(partitions_of(PARTITION_CAP)) == 5604
+    message = rf"partitions_of\({PARTITION_CAP + 1}\) exceeds cap {PARTITION_CAP}"
+    with pytest.raises(CapExceeded, match=message):
+        partitions_of(PARTITION_CAP + 1)
 
 
 def test_partition_strings():
@@ -50,6 +53,11 @@ def test_z_of():
     assert z_of((2,)) == 2
     assert z_of((2, 1)) == 2
     assert z_of((1, 1, 1)) == 6
+    # prod_i i^{m_i} m_i!, counted from the multiplicities
+    for n in range(PARTITION_CAP + 1):
+        for mu in partitions_of(n):
+            want = math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu))
+            assert z_of(mu) == want
 
 
 def test_aut_of():
@@ -100,7 +108,10 @@ def test_character_column_orthogonality():
     for n in range(1, 7):
         for mu in partitions_of(n):
             assert sum(character(lam, mu) ** 2 for lam in partitions_of(n)) == z_of(mu)
-    assert character_cache_size() > 0
+    # a repeated character is one hit on the Murnaghan-Nakayama cache
+    hits = partitions._mn.cache_info().hits
+    assert character((3, 2, 1), (2, 2, 1, 1)) == 0
+    assert partitions._mn.cache_info().hits == hits + 1
 
 
 def test_character_dimension_from_hooks():
