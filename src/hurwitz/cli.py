@@ -164,9 +164,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    # built on the first call to main, once per process: parse_args keeps
-    # no state between calls
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    # built on the first call to main, once per process: parsing keeps no
+    # state between calls
     parser = _Parser(prog="hurwitz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -193,7 +193,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--errata-out",
                           help="path for the errata report JSON "
                                "(default $HURWITZ_CACHE/errata.json)")
-    return parser
+    return parser, sub.choices
 
 
 def _d_values(args) -> range:
@@ -279,8 +279,17 @@ def cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        # one pass in the subcommand's parser, which is all parse_args would
+        # run after the name; leftovers get parse_args's top-level error
+        args, extras = subparsers[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+    else:  # top-level help and errors
+        args = parser.parse_args(argv)
     handlers = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify}
     try:
         return handlers[args.command](args)

@@ -300,6 +300,78 @@ def test_parser_reuse_behaves_like_fresh_processes(capsys):
     assert usage_error() == first
 
 
+def _exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_MU_D = ["--mu", "2", "--d", "1"]
+USAGE_CASES = [
+    [], ["bogus"], ["-h"], ["--help"], ["--", "compute"], ["-x", "compute", *_MU_D],
+    ["compute", "-h"], ["table", "-h"], ["verify", "-h"],
+    ["compute", "--d", "1"], ["compute", "--d", "1", "--mu"], ["compute", *_MU_D, "--bogus"],
+    ["compute", *_MU_D, "extra"], ["compute", "-x", *_MU_D],
+    ["compute", *_MU_D, "--d-range", "0:2"], ["compute", "--mu", "2", "--d", "x"],
+    ["compute", *_MU_D, "--pipeline", "nope"],
+    ["table"], ["table", "B4", "extra"], ["verify", "--scope", "nope"],
+    ["compute", "--mu", "2,1", "--d", "3", "--conn"],
+    ["compute", "--mu", "2,1", "--d", "3", "--format=json", "--weights=exp"],
+]
+
+
+def test_usage_and_help_bytes_are_pinned(capsys, monkeypatch):
+    # top-level help and errors, subcommand help, bad arguments and two
+    # abbreviated or joined spellings: exit codes and every byte, as one digest
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in USAGE_CASES:
+        digest.update(repr((argv, *_exit_and_output(capsys, argv))).encode())
+    assert digest.hexdigest() == (
+        "4d91350104c190989a3f7621932c3d653707b9e9c66807abe3625168ec7c1a43")
+
+
+ONE_PASS_GRID = [
+    ["compute", "--mu", "2,1", "--d", "3"],
+    ["compute", "--mu", "3,1,1", "--d-range", "3:7", "--weights", "exp"],
+    ["compute", "--mu", "2,1", "--d", "3", "--conn"],
+    ["compute", "--mu", "2,1", "--d", "3", "--format=json", "--max-weight", "30"],
+    *(["compute", "--mu", "2", "--d", "1", "--weights", "exp", "--pipeline", pipeline]
+      for pipeline in cli.PIPELINES),
+    ["table", "B4"], ["table", "a1", "--format", "csv"],
+    ["verify"], ["verify", "--scope", "full", "--errata-out", "errata.json"],
+]
+
+
+def test_each_request_is_one_parse(monkeypatch):
+    # a request is parsed once, by its subcommand's parser, into the
+    # namespace the top-level parser gives
+    seen = []
+    for name in ("cmd_compute", "cmd_table", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or cli.EXIT_OK)
+    passes = []
+    real = cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    for argv in ONE_PASS_GRID:
+        passes.clear()
+        assert main(argv) == cli.EXIT_OK
+        assert passes == [f"hurwitz {argv[0]}"], argv
+    monkeypatch.setattr(cli._Parser, "parse_known_args", real)
+    parser, _ = cli._build_parser()
+    assert seen == [vars(parser.parse_args(argv)) for argv in ONE_PASS_GRID]
+    monkeypatch.setattr(sys, "argv", ["hurwitz", *ONE_PASS_GRID[2]])
+    assert main() == cli.EXIT_OK
+    assert seen[-1] == seen[2]
+
+
 def _cold_output(capsys, argv):
     for value in (hurwitz_any, connected_any, connected_closed_form, nonconnected_assemble):
         value.cache_clear()

@@ -24,6 +24,7 @@ from hurwitz.tau import (
     genus_slice,
     hurwitz_any,
 )
+from hurwitz.weights import parse_model
 
 g = GPoly.var
 half = Fraction(1, 2)
@@ -154,6 +155,24 @@ def test_genus_slice():
     assert genus_slice(1, (2,)) == g(3).scale(half)
     want = (g(2) ** 2 + g(1) * g(3) + g(4) * 2).scale(Fraction(1, 3))
     assert genus_slice(0, (1, 1, 1)) == want
+
+
+def test_genus_zero_matches_hurwitz_formula():
+    # Hurwitz's formula, no characters: at genus 0 (d = N + l - 2) the
+    # connected exp-weighted value is N^(l-3) prod mu_i^mu_i / mu_i! / |aut mu|
+    exp, profiles = parse_model("exp"), 0
+    for N in range(1, 10):
+        for mu in partitions_of(N):
+            d = N + len(mu) - 2
+            if d > 14:
+                continue
+            want = Fraction(N) ** (len(mu) - 3) / aut_of(mu)
+            for part in mu:
+                want *= Fraction(part ** part, math.factorial(part))
+            got = compute(mu, d, exp, connected=True, max_weight=30, max_degree=30).value
+            assert got == want, mu
+            profiles += 1
+    assert profiles == 94
 
 
 def test_caps():
