@@ -81,10 +81,6 @@ class FactorizationQuery(_QueryFields):
             raise ValueError(f"conjugacy classes of unequal weight: {self.classes}")
         return self
 
-    @property
-    def degree(self) -> int:
-        return sum(self.classes[0])
-
 
 def pure_hurwitz_char(classes: list[Partition] | tuple[Partition, ...]) -> Fraction:
     """Factorization count of the identity, by the character sum."""

@@ -59,6 +59,19 @@ def test_json_output_bytes_above_the_degree_cap_are_pinned(capsys):
         "097cc38144dafbf61e628d2a77c9504a14d7051c152225a8b7c26fd62d3fa871")
 
 
+def test_connected_json_bytes_of_length_four_and_more_are_pinned(capsys):
+    # tau's connected values above the default caps, where only tau computes
+    digest = hashlib.sha256()
+    for mu, d in (("5,4,3,2", "24"), ("4,4,3,3", "20"), ("4,3,3,2,2", "17"),
+                  ("2,2,2,2,2,2", "16")):
+        code, out, _ = run_cli(capsys, "compute", "--mu", mu, "--d", d, "--connected",
+                               "--max-weight", "30", "--max-degree", "30", "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "f951ca833368573d7fd8dceaf35b007d84d01f2250ec53467a841bac9130f66f")
+
+
 def test_display_bytes_are_pinned(capsys):
     # the (q;q)_m display path: every table as text and csv, then symbolic-q
     # `compute` text for |mu| <= 5, d = 0..8, connected and not, as one digest

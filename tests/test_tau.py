@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from hurwitz import HurwitzResult, compute
+from hurwitz import HurwitzResult, compute, tau
 from hurwitz.algebra import GPoly
 from hurwitz.partitions import (
     CapExceeded,
@@ -109,12 +109,33 @@ def _connected_by_set_partitions(mu, d):
 
 
 def test_connected_any_matches_set_partition_inversion():
-    for N in range(2, 8):
+    for N in range(2, 9):
         for mu in partitions_of(N):
             if len(mu) < 2:
                 continue
             for d in range(11):
                 assert connected_any(mu, d) == _connected_by_set_partitions(mu, d), (mu, d)
+
+
+def test_connected_value_is_one_walk(monkeypatch):
+    # the exponential formula runs on power-sum dicts: no GPoly product, one
+    # walk beside the nonconnected value's, and no sub-profile cache entries
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(GPoly, "__mul__", counted("mul", GPoly.__mul__))
+    monkeypatch.setattr(tau, "power_sum_total", counted("walk", tau.power_sum_total))
+    hurwitz_any.cache_clear()
+    connected_any.cache_clear()
+    connected_any((4, 3, 3, 2, 2), 17)
+    assert counts["mul"] == 0
+    assert counts["walk"] <= 2
+    assert hurwitz_any.cache_info().currsize == connected_any.cache_info().currsize == 1
 
 
 def test_hurwitz_any_published_values():
