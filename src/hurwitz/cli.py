@@ -302,7 +302,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"hurwitz: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,16 +20,30 @@ Three consumers:
 
 * closed forms for connected values with marked profile of length 1, 2, 3
   (linear / quadratic / cubic cycle sums over the rho grid);
+* nonconnected values for length 1, 2, 3 by the exponential formula
+  (Stanley, EC2 section 5.1) over the same terms;
 * `wtilde_coeff`, an independent validator for any n that expands the
   connected n-point function directly from the cyclic-order products of
   pair kernels, each pole a geometric series in one region of the x_i
-  (`_expansion`);
-* nonconnected values from the connected closed forms by the forward
-  exponential formula, `partitions.nonconnected_from_connected`, the same
-  sum that `verify` uses to recombine tau's connected values.
+  (`_expansion`).
 
-As in tau, the values are kept per process (`partitions.partition_cache`),
-so the exponential formula builds each (block, k) closed form once.
+The closed forms do not depend on d.  Each is a pair (G, F) of term lists
+(`_closed_terms`), and the connected series of mu is
+
+    sum over d of C(mu, d) beta^d = (G(beta) + eps G(-beta) + F(beta)) / z_mu,
+
+with eps = (-1)^(|mu| + len(mu)).  F(-beta) = eps F(beta), so the series
+lives in the degrees d = |mu| + len(mu) mod 2, where it is (2 G + F) / z_mu:
+one cycle sum per connected value.  G(-beta) is a list of terms too, by the
+transpose symmetry: rho_ab(-beta) = (-1)^(a+b) rho_ba(beta).  So
+z_mu H(mu) = sum over set partitions of mu's labels of the product over the
+blocks B of z_B C(B) is one cycle sum as well, over the products of the
+blocks' terms (factors concatenate, coefficients multiply), with no
+connected value and no sum over the splits of d among the blocks.  The
+forward sum over connected values, `partitions.nonconnected_from_connected`,
+is left to `verify`, which recombines tau's connected values with it.
+
+Both value functions are kept per process (`partitions.partition_cache`).
 
 Conventions fixed against the other pipelines (see tests): the length-2
 linear cycle sum runs over rho^d_{mu1+mu2-b-1, b}; the length-3 quadratic
@@ -46,8 +60,7 @@ from itertools import permutations, product
 from typing import Iterable
 
 from .algebra import GPoly
-from .partitions import (Partition, as_partition, aut_of, nonconnected_from_connected,
-                         partition_cache)
+from .partitions import Partition, as_partition, partition_cache, set_partitions, z_of
 from .series import power_sum_total
 
 # A term (c, ((a_1, b_1), ...)) of a cycle sum stands for c * prod_i rho_{a_i b_i}.
@@ -92,71 +105,69 @@ def rho_coeff(a: int, b: int, d: int) -> GPoly:
 # -- closed forms for length(mu) <= 3 ------------------------------------
 
 
-def connected_len1(mu1: int, d: int) -> GPoly:
-    """Connected value for a single marked part: (1/mu1) sum_a rho^d_{a, mu1-a-1}."""
-    if mu1 < 1:
-        raise ValueError("part must be >= 1")
-    terms = ((1, ((a, mu1 - 1 - a),)) for a in range(mu1))
-    return _cycle_sum(mu1, d, terms, mu1)
-
-
-def connected_len2(mu1: int, mu2: int, d: int) -> GPoly:
-    """Connected value for two marked parts: parity-gated linear sum minus
-    the quadratic convolution of pair coefficients."""
-    if mu1 < 1 or mu2 < 1:
-        raise ValueError("parts must be >= 1")
-    parity = 1 + (-1) ** (d + mu1 + mu2)
-    terms: list[Term] = []
-    if parity:
-        terms += [(parity, ((mu1 + mu2 - b - 1, b),)) for b in range(mu2)]
-    terms += [(-1, ((a, mu2 - b - 1), (b, mu1 - a - 1)))
-              for a in range(mu1) for b in range(mu2)]
-    return _cycle_sum(mu1 + mu2, d, terms, mu1 * mu2 * aut_of((mu1, mu2)))
-
-
-def connected_len3(mu1: int, mu2: int, mu3: int, d: int) -> GPoly:
-    """Connected value for three marked parts: linear + quadratic + cubic
-    cycle sums, all gated by the odd-parity factor 1 - (-1)^(d+|mu|)."""
-    if min(mu1, mu2, mu3) < 1:
-        raise ValueError("parts must be >= 1")
-    if (d + mu1 + mu2 + mu3) % 2 == 0:
-        return GPoly.zero()
-    terms: list[Term] = []
-    # linear part; every term carries the parity factor 2
-    for b in range(mu2):
-        terms.append((2, ((mu2 - b - 1, mu1 + mu3 + b),)))
-        terms.append((-2, ((mu1 + mu2 - b - 1, mu3 + b),)))
-    # quadratic part over the three pair splittings; the pair-sum upper
-    # limit is min of the paired parts (symmetric in them)
-    for m1, m2, m3 in ((mu1, mu2, mu3), (mu1, mu3, mu2), (mu3, mu2, mu1)):
-        terms += [(2, ((c, m1 + m2 - a - 1), (a, m3 - c - 1)))
-                  for a in range(min(m1, m2)) for c in range(m3)]
-    # cubic part
-    terms += [(2, ((a, mu2 - b - 1), (b, mu3 - c - 1), (c, mu1 - a - 1)))
-              for a in range(mu1) for b in range(mu2) for c in range(mu3)]
-    return _cycle_sum(mu1 + mu2 + mu3, d, terms, mu1 * mu2 * mu3 * aut_of((mu1, mu2, mu3)))
+def _closed_terms(mu: Partition) -> tuple[list[Term], list[Term]]:
+    """The terms (G, F) of mu's connected series, which is
+    (G(beta) + eps G(-beta) + F(beta)) / z_mu with eps = (-1)^(|mu|+len(mu))."""
+    if len(mu) == 1:
+        (m,) = mu
+        return [], [(1, ((a, m - a - 1),)) for a in range(m)]
+    if len(mu) == 2:
+        # linear sum, minus the quadratic convolution of pair coefficients
+        m1, m2 = mu
+        return ([(1, ((m1 + m2 - b - 1, b),)) for b in range(m2)],
+                [(-1, ((a, m2 - b - 1), (b, m1 - a - 1))) for a in range(m1) for b in range(m2)])
+    if len(mu) == 3:
+        m1, m2, m3 = mu
+        terms: list[Term] = []
+        for b in range(m2):                         # linear part
+            terms.append((1, ((m2 - b - 1, m1 + m3 + b),)))
+            terms.append((-1, ((m1 + m2 - b - 1, m3 + b),)))
+        # quadratic part over the three pair splittings; the pair-sum upper
+        # limit is min of the paired parts (symmetric in them)
+        for p1, p2, p3 in ((m1, m2, m3), (m1, m3, m2), (m3, m2, m1)):
+            terms += [(1, ((c, p1 + p2 - a - 1), (a, p3 - c - 1)))
+                      for a in range(min(p1, p2)) for c in range(p3)]
+        terms += [(1, ((a, m2 - b - 1), (b, m3 - c - 1), (c, m1 - a - 1)))   # cubic part
+                  for a in range(m1) for b in range(m2) for c in range(m3)]
+        return terms, []
+    raise ValueError("closed forms cover marked profiles of length 1..3 only")
 
 
 @partition_cache
 def connected_closed_form(mu: Partition, d: int) -> GPoly:
-    """Dispatch the length-1/2/3 closed forms."""
-    if len(mu) == 1:
-        return connected_len1(mu[0], d)
-    if len(mu) == 2:
-        return connected_len2(mu[0], mu[1], d)
-    if len(mu) == 3:
-        return connected_len3(mu[0], mu[1], mu[2], d)
-    raise ValueError("closed forms cover marked profiles of length 1..3 only")
+    """Connected value for length(mu) <= 3: [beta^d] is 0 unless
+    d = |mu| + len(mu) mod 2, and (2 G + F) / z_mu otherwise."""
+    G, F = _closed_terms(mu)
+    if (d + sum(mu) + len(mu)) % 2:
+        return GPoly.zero()
+    return _cycle_sum(sum(mu), d, [(2 * c, f) for c, f in G] + F, z_of(mu))
 
 
 # -- nonconnected assembly (exponential formula, length <= 3) ------------
 
+
+def _block_series(block: Partition) -> list[Term]:
+    """The terms of z_B times B's connected series, G(-beta) written with
+    rho_ab(-beta) = (-1)^(a+b) rho_ba(beta)."""
+    G, F = _closed_terms(block)
+    eps = (-1) ** (sum(block) + len(block))
+    mirror = [(eps * (-1) ** sum(map(sum, f)) * c, tuple((b, a) for a, b in f)) for c, f in G]
+    return G + mirror + F
+
+
 @partition_cache
 def nonconnected_assemble(mu: Partition, d: int) -> GPoly:
-    """Nonconnected value from the connected closed forms for length(mu) <= 3."""
+    """Nonconnected value for length(mu) <= 3 by the exponential formula:
+    z_mu H(mu) is the sum over set partitions of mu's labels of the product
+    of the blocks' series z_B C(B), read off in one cycle sum."""
     if not 1 <= len(mu) <= 3:
         raise ValueError("closed-form assembly covers length 1..3 only")
-    return nonconnected_from_connected(mu, d, connected_closed_form)
+    terms = (
+        (math.prod(c for c, _ in choice), sum((f for _, f in choice), ()))
+        for blocks in set_partitions(mu)
+        for choice in product(*(_block_series(as_partition(b)) for b in blocks))
+    )
+    return _cycle_sum(sum(mu), d, terms, z_of(mu))
 
 
 # -- direct expansion of the connected n-point functions -----------------
@@ -225,4 +236,4 @@ def wtilde_coeff(exponents: tuple[int, ...], d: int) -> GPoly:
 def connected_via_wtilde(mu: Partition, d: int) -> GPoly:
     """Connected value for any profile straight from the expansion."""
     mu = as_partition(mu)
-    return wtilde_coeff(tuple(m - 1 for m in mu), d) / (math.prod(mu) * aut_of(mu))
+    return wtilde_coeff(tuple(m - 1 for m in mu), d) / z_of(mu)

@@ -4,9 +4,10 @@ Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Characters chi_lambda(mu) are computed
 by the Murnaghan-Nakayama recursion in its beta-set form (first-column hook
 lengths); the recursion `_mn` is an `lru_cache`.
-`nonconnected_from_connected` is the exponential formula that the
-correlator and `verify` share; `partition_cache` is the per-process value
-cache that both generic pipelines put on their value functions.
+`nonconnected_from_connected` is the forward exponential formula that
+`verify` runs on tau's connected values; `partition_cache` is the
+per-process value cache that both generic pipelines put on their value
+functions.
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def connected_any(mu: Partition, d: int) -> GPoly:
 def _products(mu: Partition, d: int, phis: dict, psis: dict) -> PowerSumDict:
     """The sum over blocks B of C(N, |B|) Psi(B) Phi(mu minus B) in the
     recursion of the module docstring.  phis and psis keep this request's
-    Phi of each rest and Psi of each block."""
+    Phi of each rest and Psi of each block; zero weights are dropped from
+    each Psi(B) and from the sum, so no later product carries them."""
     n, N = len(mu), sum(mu)
     # blocks holding label 0 other than mu itself, grouped by the multiset
     # pair (block, rest) they split mu into; both keep mu's decreasing order
@@ -137,7 +138,7 @@ def _products(mu: Partition, d: int, phis: dict, psis: dict) -> PowerSumDict:
             psi = _phi(block, d)
             for s, w in _products(block, d, phis, psis).items():
                 psi[s] = psi.get(s, 0) - w
-            psis[block] = psi
+            psis[block] = {s: w for s, w in psi.items() if w}
         if rest not in phis:
             phis[rest] = _phi(rest, d)
         scale = count * math.comb(N, sum(block))
@@ -147,7 +148,7 @@ def _products(mu: Partition, d: int, phis: dict, psis: dict) -> PowerSumDict:
             for t, v in phi:
                 key = tuple(map(add, s, t))
                 out[key] = get(key, 0) + w * v
-    return out
+    return {s: w for s, w in out.items() if w}
 
 
 def genus_slice(g: int, mu: Partition) -> GPoly:

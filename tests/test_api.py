@@ -166,8 +166,10 @@ def test_pipelines_are_independent():
         if module != "oracle":
             assert _names_from(module, "series") == {"power_sum_total"}, module
     # verify's check 5 compares tau's connected values with the exponential
-    # formula in `partitions`, so tau must not compute them by that formula
-    assert "nonconnected_from_connected" not in _identifiers("tau")
+    # formula in `partitions`, so neither tau nor the correlator computes
+    # values by that formula
+    for module in ("tau", "correlator"):
+        assert "nonconnected_from_connected" not in _identifiers(module), module
     # the published tables and the CLI read every pipeline, so no pipeline
     # reads them, nor the request policy the CLI holds
     assert all(name not in ("tables", "cli") for found in imports.values() for name, _ in found)

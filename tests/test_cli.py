@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import HurwitzResult, cli, compute, tables
+from hurwitz import HurwitzResult, cli, compute, correlator, tables
 from hurwitz.algebra import GPoly
 from hurwitz.cli import main
 from hurwitz.correlator import connected_closed_form, nonconnected_assemble
@@ -405,16 +405,26 @@ def test_cached_values_print_the_cold_bytes(capsys, model):
         assert first == again == _cold_output(capsys, argv)
 
 
-def test_assembly_from_cached_blocks_prints_the_cold_bytes(capsys):
+def test_assembly_is_one_walk_and_prints_the_cold_bytes(capsys, monkeypatch):
+    # a nonconnected correlator value is one cycle sum over the products of
+    # its blocks' terms: the connected values other requests cached change
+    # nothing, and a cold value makes one walk, no GPoly product and no
+    # connected value
     argv = ["compute", "--mu", "2,1,1", "--d", "7", "--format", "json"]
     cold = _cold_output(capsys, argv)
-    for value in (connected_closed_form, nonconnected_assemble):
-        value.cache_clear()
     for mu, d in (("2,1", "3:5"), ("1,1", "0:6"), ("2", "0:4"), ("1", "0:2")):
         assert run_cli(capsys, "compute", "--mu", mu, "--d-range", d, "--connected")[0] == 0
-    hits = connected_closed_form.cache_info().hits
+    nonconnected_assemble.cache_clear()
     assert run_cli(capsys, *argv) == cold
-    assert connected_closed_form.cache_info().hits > hits
+    for value in (connected_closed_form, nonconnected_assemble):
+        value.cache_clear()
+    walks, products = [], []
+    walk, mul = correlator.power_sum_total, GPoly.__mul__
+    monkeypatch.setattr(correlator, "power_sum_total", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(GPoly, "__mul__", lambda *a: products.append(a) or mul(*a))
+    assert nonconnected_assemble((4, 2, 1), 12)
+    assert (len(walks), len(products)) == (1, 0)
+    assert connected_closed_form.cache_info().currsize == 0
 
 
 def test_compute_auto_uses_tau_for_long_profiles(capsys):

@@ -12,15 +12,12 @@ from hurwitz.correlator import (
     _cycle_sum,
     _factor,
     connected_closed_form,
-    connected_len1,
-    connected_len2,
-    connected_len3,
     connected_via_wtilde,
     nonconnected_assemble,
     rho_coeff,
     wtilde_coeff,
 )
-from hurwitz.partitions import nonconnected_from_connected, partitions_of
+from hurwitz.partitions import partitions_of
 from hurwitz.series import b_terms
 from hurwitz.tau import connected_any, hurwitz_any
 
@@ -89,41 +86,39 @@ def test_rho_triple_matches_naive_convolution():
 
 
 def test_connected_len1():
-    assert connected_len1(2, 1) == g(1).scale(half)
-    assert connected_len1(2, 3) == g(3).scale(half)
-    assert connected_len1(1, 0) == GPoly.one()
+    assert connected_closed_form((2,), 1) == g(1).scale(half)
+    assert connected_closed_form((2,), 3) == g(3).scale(half)
+    assert connected_closed_form((1,), 0) == GPoly.one()
 
 
 def test_connected_len2():
-    assert connected_len2(2, 1, 3) == g(1) * g(2) + g(3)
+    assert connected_closed_form((2, 1), 3) == g(1) * g(2) + g(3)
     want_22 = (g(1) * g(1) * g(2)).scale(half) + (g(2) * g(2)).scale(Fraction(1, 4)) \
         + g(1) * g(3) + g(4).scale(half)
-    assert connected_len2(2, 2, 4) == want_22
-    assert connected_len2(1, 1, 0).is_zero()
+    assert connected_closed_form((2, 2), 4) == want_22
+    assert connected_closed_form((1, 1), 0).is_zero()
 
 
 def test_connected_len3():
     want = (g(2) ** 2 + g(1) * g(3) + g(4).scale(2)).scale(Fraction(1, 3))
-    assert connected_len3(1, 1, 1, 4) == want
+    assert connected_closed_form((1, 1, 1), 4) == want
     want_211 = (g(1) ** 2 * g(3) * 2 + g(2) * g(3) * 7
                 + g(1) * (g(2) ** 2 * 3 + g(4) * 7) + g(5) * 5).scale(half)
-    assert connected_len3(2, 1, 1, 5) == want_211
-    assert connected_len3(1, 1, 1, 3).is_zero()  # parity
+    assert connected_closed_form((2, 1, 1), 5) == want_211
+    assert connected_closed_form((1, 1, 1), 3).is_zero()  # parity
 
 
 def test_nonconnected_assemble():
     assert nonconnected_assemble((2, 1), 3) == g(1) * g(2) + g(3).scale(Fraction(3, 2))
     # single part: nonconnected equals connected
-    assert nonconnected_assemble((2,), 3) == connected_len1(2, 3)
+    assert nonconnected_assemble((2,), 3) == connected_closed_form((2,), 3)
     # two equal parts at low order: only the split contributes
     assert nonconnected_assemble((2, 2), 2) == (g(1) ** 2).scale(Fraction(1, 8))
-    # the closed forms cover lengths 1..3 only; the shared sum itself gives
-    # the empty profile its empty product
-    for mu in [(), (1, 1, 1, 1)]:
-        with pytest.raises(ValueError):
-            nonconnected_assemble(mu, 3)
-    assert nonconnected_from_connected((), 0, connected_closed_form) == GPoly.one()
-    assert nonconnected_from_connected((), 2, connected_closed_form).is_zero()
+    # the closed forms cover lengths 1..3 only, and parts >= 1
+    for mu in [(), (1, 1, 1, 1), (2, 0)]:
+        for value in (connected_closed_form, nonconnected_assemble):
+            with pytest.raises(ValueError):
+                value(mu, 3)
 
 
 def test_nonconnected_matches_character_pipeline():
@@ -139,7 +134,7 @@ def test_nonconnected_matches_character_pipeline():
 def test_wtilde_n1_matches_len1():
     for mu1 in (1, 2, 3, 4):
         for d in range(5):
-            assert wtilde_coeff((mu1 - 1,), d) == connected_len1(mu1, d).scale(mu1)
+            assert wtilde_coeff((mu1 - 1,), d) == connected_closed_form((mu1,), d).scale(mu1)
 
 
 def test_wtilde_n2_example():
@@ -208,6 +203,6 @@ def test_cycle_sum_expands_each_power_sum_vector_once(monkeypatch):
     assert _cycle_sum(9, 6, terms) == want
     assert [len(vectors) for vectors in calls] == [1]
     calls.clear()
-    assert connected_len3(3, 3, 3, 10)
+    assert connected_closed_form((3, 3, 3), 10)
     vectors = [s for entry in calls for s in entry]
     assert calls and len(vectors) == len(set(vectors)), len(vectors) - len(set(vectors))

@@ -8,6 +8,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from hurwitz import partitions
+from hurwitz.algebra import GPoly
 from hurwitz.partitions import (
     PARTITION_CAP,
     CapExceeded,
@@ -19,6 +20,7 @@ from hurwitz.partitions import (
     contents,
     format_partition,
     hook_product,
+    nonconnected_from_connected,
     parse_partition,
     partitions_of,
     sym_eval,
@@ -191,3 +193,11 @@ def test_as_partition_sorts_and_validates():
     assert colength((3, 2, 1)) == 3
     with pytest.raises(ValueError):
         as_partition([0, 1])
+
+
+def test_nonconnected_from_connected_gives_the_empty_profile_its_empty_product():
+    def connected(mu, d):
+        raise AssertionError("the empty profile has no blocks")
+
+    assert nonconnected_from_connected((), 0, connected) == GPoly.one()
+    assert nonconnected_from_connected((), 2, connected).is_zero()

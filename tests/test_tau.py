@@ -138,6 +138,15 @@ def test_connected_value_is_one_walk(monkeypatch):
     assert hurwitz_any.cache_info().currsize == connected_any.cache_info().currsize == 1
 
 
+def test_power_sum_dicts_carry_no_zero_weights():
+    # a weight that cancels in Psi(B) = Phi(B) - products(B), or among the
+    # products, would be multiplied through every later product for nothing
+    psis = {}
+    products = tau._products((4, 3, 3, 2, 2), 17, {}, psis)
+    assert psis and all(all(psi.values()) for psi in psis.values())
+    assert products and all(products.values())
+
+
 def test_hurwitz_any_published_values():
     assert hurwitz_any((2,), 1) == g(1).scale(half)
     assert hurwitz_any((2, 1), 3) == g(1) * g(2) + g(3).scale(Fraction(3, 2))
