@@ -3,21 +3,21 @@
 QRat is a quantum value in the published shape P(q) / (q;q)_m, stored as
 three fields: `num`, the integer coefficients of the numerator, ascending
 with trailing zeros stripped; `scale`, an integer > 0 coprime to the
-content of num; and `den`, the integer coefficients of a monic product of
-cyclotomic polynomials coprime to num.  The value is num / (scale * den),
-and zero is ((), 1, (1,)).  Since (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k),
-with Phi_k the monic cyclotomic polynomials, `QRat.over_pochhammer(num, m,
-scale)`, the one constructor that computes a value, reduces num / (scale *
-(q;q)_m) by exact trial division of num by each Phi_k, as often as Phi_k's
-multiplicity in the denominator allows; what is left over is coprime by
-construction, and the sign and the common factor of num and scale are then
-moved once.  Equal values have equal fields, so equality is plain
-componentwise equality.  `QRat.pochhammer_form` goes the other way, reading
-the least m off the Phi_k multiplicities of a denominator.  `q_multinomial`
-gives the integer polynomials (q;q)_m / prod (q;q)_i^e_i from which the
-numerators are built.  All of them compute on integer coefficient lists;
-a Fraction is built only at the edges, by the `num` property, `to_json`,
-`from_json`, `evaluate` and `str`.
+content of num; and `mult`, with mult[k-1] = n_k the multiplicity of the
+monic cyclotomic polynomial Phi_k in the denominator, trailing zeros
+stripped.  The value is num / (scale * prod_k Phi_k^n_k), num is coprime
+to that product, and zero is ((), 1, ()).  Since (q;q)_m = (-1)^m prod_k
+Phi_k^floor(m/k), `QRat.over_pochhammer(num, m, scale)`, the one
+constructor that computes a value, divides num exactly by each Phi_k as
+often as floor(m/k) allows and keeps what is left of each multiplicity;
+the sign and the common factor of num and scale are then moved once.
+Equal values have equal fields, so equality is plain componentwise
+equality.  `QRat.pochhammer_form` goes the other way, reading the least m
+= max(k * n_k) off mult.  `q_multinomial` gives the integer polynomials
+(q;q)_m / prod (q;q)_i^e_i from which the numerators are built.  A
+Fraction and the multiplied-out denominator are built only at the edges:
+the `num` and `den` properties, `to_json`, `evaluate` and `str`;
+`from_json` alone factors a denominator back into multiplicities.
 
 The quantum-weight tables are verified as identities of these exact
 values; nothing here is ever evaluated in floating point.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import RationalLike
@@ -77,7 +78,7 @@ def _over_one_minus(p: list[int], k: int) -> list[int]:
     return quo
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -88,7 +89,7 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _divide_monic(p: list[int], f: list[int]) -> list[int] | None:
+def _divide_monic(p: Sequence[int], f: Sequence[int]) -> list[int] | None:
     """p / f for a nonzero p and a monic f, or None when f does not divide p."""
     top = len(f) - 1
     n = len(p) - top
@@ -105,18 +106,6 @@ def _divide_monic(p: list[int], f: list[int]) -> list[int] | None:
     return None if any(rem[:top]) else quo
 
 
-def _mobius(n: int) -> int:
-    out, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if n > 1 else out
-
-
 def _totient(n: int) -> int:
     out, p = n, 2
     while p * p <= n:
@@ -128,22 +117,24 @@ def _totient(n: int) -> int:
     return out - out // n if n > 1 else out
 
 
-def _cyclotomic(k: int) -> list[int]:
-    """Coefficients of the monic cyclotomic polynomial Phi_k, ascending."""
-    if k == 1:
-        return [-1, 1]
-    # Phi_k = prod_{d | k} (1 - q^d)^mu(k/d) for k > 1; the signs cancel
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
-    p = [1]
-    for d in divisors:
-        if _mobius(k // d) == 1:
-            p = _times_one_minus(p, d)
-    for d in divisors:
-        if _mobius(k // d) == -1:
-            p = _over_one_minus(p, d)
+@lru_cache(maxsize=256)
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Coefficients of the monic cyclotomic polynomial Phi_k, ascending:
+    q^k - 1 divided exactly by Phi_j for every proper divisor j of k."""
+    p = [-1] + [0] * (k - 1) + [1]
+    for j in range(1, k):
+        if k % j == 0:
+            p = _divide_monic(p, _cyclotomic(j))
+    return tuple(p)
+
+
+def _times_cyclotomic(p: Sequence[int], exps: Sequence[int]) -> list[int]:
+    """p times prod_k Phi_k^exps[k-1]."""
+    p = list(p)
+    for k, e in enumerate(exps, start=1):
+        for _ in range(e):
+            p = _int_mul(p, _cyclotomic(k))
     return p
-
-
 
 
 def _trimmed(p: Sequence) -> list:
@@ -180,14 +171,14 @@ def _horner(coeffs: Sequence[int], q: Fraction) -> Fraction:
 
 
 class QRat:
-    """A quantum value num / (scale * den) in the reduced form of the module
-    docstring.  `over_pochhammer` computes these fields; the constructor
-    only stores fields that are already in this form."""
+    """A quantum value num / (scale * prod_k Phi_k^mult[k-1]) in the reduced
+    form of the module docstring.  `over_pochhammer` computes these fields;
+    the constructor only stores fields that are already in this form."""
 
-    __slots__ = ("_num", "_scale", "_den")
+    __slots__ = ("_num", "_scale", "_mult")
 
-    def __init__(self, num: tuple[int, ...], scale: int, den: tuple[int, ...]):
-        self._num, self._scale, self._den = num, scale, den
+    def __init__(self, num: tuple[int, ...], scale: int, mult: tuple[int, ...]):
+        self._num, self._scale, self._mult = num, scale, mult
 
     @staticmethod
     def over_pochhammer(num: Sequence[int], m: int, scale: int = 1) -> QRat:
@@ -196,7 +187,7 @@ class QRat:
         num holds integer coefficients, ascending, and scale is a nonzero
         integer.  (q;q)_m = (-1)^m prod_k Phi_k^floor(m/k).  Each Phi_k is
         divided out of num while it divides exactly and its multiplicity is
-        not used up; the remaining Phi_k powers are the monic denominator,
+        not used up; what is left of each multiplicity is the denominator,
         coprime to what is left of num.  The sign then moves into num, and
         the gcd of num's coefficients and scale is divided out of both.
         """
@@ -206,45 +197,35 @@ class QRat:
             raise ZeroDivisionError("scale must be nonzero")
         p = _trimmed(num)
         if not p:
-            return QRat((), 1, (1,))
-        den = [1]
+            return QRat((), 1, ())
+        mult = []
         for k in range(1, m + 1):
             phi = _cyclotomic(k)
             left = m // k
             while left and (quo := _divide_monic(p, phi)) is not None:
                 p, left = quo, left - 1
-            for _ in range(left):
-                den = _int_mul(den, phi)
+            mult.append(left)
         signed = -scale if m % 2 else scale
         g = math.gcd(signed, *p)
         if signed < 0:
             g = -g
-        return QRat(tuple(c // g for c in p), signed // g, tuple(den))
+        return QRat(tuple(c // g for c in p), signed // g, tuple(_trimmed(mult)))
 
     def pochhammer_form(self, max_index: int) -> tuple[int, list[int], int] | None:
         """(m, P, scale) with self = P / (scale * (q;q)_m) for the least such
-        m, if m <= max_index.
+        m, if m <= max_index, else None.
 
-        P has integer coefficients with the content of num, so scale stays
-        coprime to it.  The least m is max(k * n_k) over the multiplicities
-        n_k of Phi_k in the denominator.  None when the denominator is not a
-        product of Phi_k, k <= max_index, or when that m exceeds max_index.
+        The least m is max(k * n_k) over the stored multiplicities n_k of
+        Phi_k, and P = (-1)^m num prod_k Phi_k^(floor(m/k) - n_k).  P has
+        integer coefficients with the content of num, so scale stays
+        coprime to it.
         """
-        den = list(self._den)
-        rest, m = den, 0
-        for k in range(1, max_index + 1):
-            if len(rest) == 1:
-                break
-            if _totient(k) >= len(rest):
-                continue    # deg Phi_k = phi(k) exceeds the degree of what is left
-            phi, n = _cyclotomic(k), 0
-            while (quo := _divide_monic(rest, phi)) is not None:
-                rest, n = quo, n + 1
-            m = max(m, k * n)
-        if rest != [1] or m > max_index:
+        m = max((k * n for k, n in enumerate(self._mult, start=1)), default=0)
+        if m > max_index:
             return None
-        cofactor = _divide_monic(q_multinomial(m, ()), den)
-        return m, _int_mul(list(self._num), cofactor), self._scale
+        mult = self._mult + (0,) * (m - len(self._mult))
+        p = _times_cyclotomic(self._num, [m // k - n for k, n in enumerate(mult, start=1)])
+        return m, (p if m % 2 == 0 else [-c for c in p]), self._scale
 
     @property
     def num(self) -> tuple[Fraction, ...]:
@@ -253,7 +234,8 @@ class QRat:
 
     @property
     def den(self) -> tuple[int, ...]:
-        return self._den
+        """The monic denominator prod_k Phi_k^n_k, multiplied out, ascending."""
+        return tuple(_times_cyclotomic([1], self._mult))
 
     def is_zero(self) -> bool:
         return not self._num
@@ -263,29 +245,29 @@ class QRat:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QRat):
-            return (self._num, self._scale, self._den) == (other._num, other._scale, other._den)
+            return (self._num, self._scale, self._mult) == (other._num, other._scale, other._mult)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._scale, self._den))
+        return hash((self._num, self._scale, self._mult))
 
     def evaluate(self, q: RationalLike) -> Fraction:
         q = Fraction(q)
-        d = _horner(self._den, q)
+        d = _horner(self.den, q)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}")
         return _horner(self._num, q) / (self._scale * d)
 
     def __str__(self) -> str:
-        if len(self._den) == 1:
+        if not self._mult:
             return _poly_str(self.num)
-        return f"({_poly_str(self.num)}) / ({_poly_str(self._den)})"
+        return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"QRat({self})"
 
     def to_json(self) -> dict:
-        return {"num": [str(c) for c in self.num], "den": [str(c) for c in self._den]}
+        return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
 
     @staticmethod
     def from_json(data: dict) -> QRat:
@@ -293,9 +275,10 @@ class QRat:
 
         Coefficients are "n" or "n/m" strings, as `to_json` writes them, and
         den's must be integers.  num is put over the lcm of its denominators,
-        rebuilt through `pochhammer_form` and `over_pochhammer`, and must come
-        back unchanged, which rejects a zero, non-monic or non-cyclotomic
-        denominator and a pair with a common factor.
+        den is factored into Phi_k multiplicities by trial division, and the
+        value is rebuilt through `pochhammer_form` and `over_pochhammer` and
+        must come back unchanged, which rejects a zero, non-monic or
+        non-cyclotomic denominator and a pair with a common factor.
         """
         num, den = data["num"], data["den"]
         if not (isinstance(num, list) and isinstance(den, list)
@@ -305,12 +288,25 @@ class QRat:
         den = _trimmed(Fraction(c) for c in den)
         if any(c.denominator != 1 for c in den):
             raise ValueError(f"den must have integer coefficients: {data!r}")
-        scale = math.lcm(*(c.denominator for c in num))
-        v = QRat(tuple(c.numerator * (scale // c.denominator) for c in num), scale,
-                 tuple(c.numerator for c in den))
         # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least
         # index m = max(k * n_k) are both at most 2 * deg(den)^2
-        form = v.pochhammer_form(2 * max(len(den) - 1, 1) ** 2)
+        bound = 2 * max(len(den) - 1, 1) ** 2
+        rest, mult = [c.numerator for c in den], []
+        for k in range(1, bound + 1):
+            if len(rest) <= 1:
+                break
+            n = 0
+            if _totient(k) < len(rest):     # else deg Phi_k = phi(k) exceeds what is left
+                phi = _cyclotomic(k)
+                while (quo := _divide_monic(rest, phi)) is not None:
+                    rest, n = quo, n + 1
+            mult.append(n)
+        if rest != [1]:
+            raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
+        scale = math.lcm(*(c.denominator for c in num))
+        v = QRat(tuple(c.numerator * (scale // c.denominator) for c in num), scale,
+                 tuple(_trimmed(mult)))
+        form = v.pochhammer_form(bound)
         if form is None or QRat.over_pochhammer(form[1], form[0], form[2]) != v:
             raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
         return v

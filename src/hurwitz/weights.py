@@ -19,9 +19,9 @@ numerators, every monomial prod g_i^e_i equals the integer q-multinomial
 polynomial (q;q)_D / prod (q;q)_i^e_i over (q;q)_D, so the value is
 P / (s (q;q)_D) with P summed in integers, reduced once by cyclotomic trial
 division (`QRat.over_pochhammer(P, D, s)`, which keeps integers).  The
-(q;q)_m display form reads m <= PRETTY_MAX_INDEX off the cyclotomic factors
-of the denominator and divides the content out of the integer numerator;
-it is a formatter only and is never used for equality.
+(q;q)_m display form reads m <= PRETTY_MAX_INDEX off the stored cyclotomic
+multiplicities of the denominator and divides the content out of the
+integer numerator; it is a formatter only and is never used for equality.
 """
 
 from __future__ import annotations

@@ -59,6 +59,20 @@ def test_json_output_bytes_above_the_degree_cap_are_pinned(capsys):
         "097cc38144dafbf61e628d2a77c9504a14d7051c152225a8b7c26fd62d3fa871")
 
 
+def test_quantum_bytes_above_the_degree_cap_are_pinned(capsys):
+    # symbolic-q json and (q;q)_m text above the default caps: denominators
+    # up to degree 210, with Phi_k up to k = 20, as one digest
+    digest = hashlib.sha256()
+    for mu, d in (("16", "17"), ("12", "13"), ("8,8", "18"), ("5,4,3,2", "20"), ("9,9", "20")):
+        for fmt in (("--format", "json"), ()):
+            code, out, _ = run_cli(capsys, "compute", "--mu", mu, "--d", d, "--weights",
+                                   "quantum", "--max-weight", "30", "--max-degree", "30", *fmt)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "339450fbaac77e2d35523a3b97f367b09ac3fba4841ecea9d010fb5f7aa7d9bd")
+
+
 def test_connected_json_bytes_of_length_four_and_more_are_pinned(capsys):
     # tau's connected values above the default caps, where only tau computes
     digest = hashlib.sha256()

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from hurwitz.qrational import QRat, q_multinomial
+from hurwitz.qrational import QRat, _cyclotomic, _totient, q_multinomial
 
 
 def poly(coeffs):
@@ -66,6 +66,19 @@ def cyclotomic(k):
         if k % j == 0:
             out = exact_quotient(out, cyclotomic(j))
     return out
+
+
+def mobius(n):
+    """The Moebius function mu(n), by trial division."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
 
 def q_value(coeffs, m, scalar=1):
@@ -187,6 +200,8 @@ def test_over_pochhammer_matches_gcd_reduction():
         if not got.is_zero():
             k, p, scale = got.pochhammer_form(24)
             assert k <= m and QRat.over_pochhammer(p, k, scale) == got
+            # and k is the least such index
+            assert all(exact_quotient(pochhammer(j), got.den) is None for j in range(k))
 
 
 def test_fields_are_a_normal_form():
@@ -207,3 +222,22 @@ def test_fields_are_a_normal_form():
     assert QRat.over_pochhammer([0, 0], 4, -3).to_json() == {"num": [], "den": ["1"]}
     with pytest.raises(ZeroDivisionError):
         QRat.over_pochhammer([1], 1, 0)
+
+
+def test_cyclotomic_matches_the_mobius_product():
+    # Phi_k = -(1 - q) for k = 1 and prod_{d | k} (1 - q^d)^mu(k/d) above,
+    # a reference independent of the division recursion that builds Phi_k
+    for k in range(1, 61):
+        top, bottom = poly([1]), poly([1])
+        for d in range(1, k + 1):
+            if k % d == 0 and mobius(k // d):
+                factor = poly([1] + [0] * (d - 1) + [-1])
+                if mobius(k // d) == 1:
+                    top = pmul(top, factor)
+                else:
+                    bottom = pmul(bottom, factor)
+        want = exact_quotient(top, bottom)
+        if k == 1:
+            want = pmul(want, [-1])
+        assert _cyclotomic(k) == want, k
+        assert len(_cyclotomic(k)) - 1 == _totient(k), k
