@@ -66,7 +66,9 @@ class HurwitzResult(NamedTuple):
         `pipeline` the name of the pipeline that ran (never "auto") and the
         value has the kind of its model: a term list (generic), a {"num",
         "den"} object (symbolic q) or a rational string (every numeric
-        model)."""
+        model).  Above PARTITION_CAP, where `compute` only ever writes 0, a
+        generic value must be the empty list, so a far index in a result
+        file is refused before any exponent tuple is built."""
         try:
             raw, d, model = data["value"], data["d"], data.get("model", "generic")
             weights = parse_model(model)
@@ -77,6 +79,9 @@ class HurwitzResult(NamedTuple):
                     or not isinstance(raw, kind)):
                 raise ValueError(f"bad field types or values, or a {type(raw).__name__} "
                                  f"value under the model {model!r}")
+            if kind is list and raw and d > PARTITION_CAP:
+                raise ValueError(f"a nonzero generic value at d = {d} above the "
+                                 f"ceiling {PARTITION_CAP}")
             # a generic value is homogeneous of weighted degree d
             value = (GPoly.from_json(raw, degree=d) if kind is list else
                      QRat.from_json(raw) if kind is dict else Fraction(raw))

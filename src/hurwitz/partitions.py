@@ -13,10 +13,9 @@ functions.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import GPoly
@@ -179,27 +178,6 @@ def _mn(lam: Partition, mu: Partition) -> int:
 # -- numeric symmetric-function evaluators ------------------------------
 
 
-def _distinct_permutations(parts: Partition):
-    """All distinct rearrangements of a multiset of parts."""
-    counter = Counter(parts)
-    items = sorted(counter)
-    k = len(parts)
-
-    def rec(prefix: list[int]):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for v in items:
-            if counter[v]:
-                counter[v] -= 1
-                prefix.append(v)
-                yield from rec(prefix)
-                prefix.pop()
-                counter[v] += 1
-
-    yield from rec([])
-
-
 def sym_eval(kind: str, lam: Partition, points: Sequence[Fraction]) -> Fraction:
     """Evaluate the monomial ("m") or forgotten ("f") symmetric function of
     the partition lam exactly at the given points."""
@@ -207,16 +185,17 @@ def sym_eval(kind: str, lam: Partition, points: Sequence[Fraction]) -> Fraction:
         raise ValueError(f"unknown symmetric function kind: {kind!r}")
     lam = as_partition(lam)
     k = len(lam)
+    arrangements = set(permutations(lam))     # the distinct rearrangements
     total = Fraction(0)
     if kind == "m":
         for idx in combinations(range(len(points)), k):
-            for arrangement in _distinct_permutations(lam):
+            for arrangement in arrangements:
                 total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
         return total
     # forgotten basis at explicit points: sign (-1)^{colength}, indices
     # weakly increasing with repetitions; the 1/|aut| of the defining sum
     # over all of S_k cancels against counting distinct rearrangements
-    for arrangement in _distinct_permutations(lam):
+    for arrangement in arrangements:
         for idx in combinations_with_replacement(range(len(points)), k):
             total = total + math.prod(points[i] ** e for i, e in zip(idx, arrangement))
     return total if colength(lam) % 2 == 0 else -total

@@ -17,7 +17,8 @@ equality.  `QRat.pochhammer_form` goes the other way, reading the least m
 (q;q)_m / prod (q;q)_i^e_i from which the numerators are built.  A
 Fraction and the multiplied-out denominator are built only at the edges:
 the `num` and `den` properties, `to_json`, `evaluate` and `str`;
-`from_json` alone factors a denominator back into multiplicities.
+`from_json` alone factors a denominator back into multiplicities, and
+checks that no Phi_k found there divides the numerator.
 
 The quantum-weight tables are verified as identities of these exact
 values; nothing here is ever evaluated in floating point.
@@ -275,9 +276,10 @@ class QRat:
 
         Coefficients are "n" or "n/m" strings, as `to_json` writes them, and
         den's must be integers.  num is put over the lcm of its denominators,
-        den is factored into Phi_k multiplicities by trial division, and the
-        value is rebuilt through `pochhammer_form` and `over_pochhammer` and
-        must come back unchanged, which rejects a zero, non-monic or
+        so scale is positive and coprime to num's content, and den is
+        factored into Phi_k multiplicities by trial division.  The pair is
+        reduced when that leaves 1 of den and no Phi_k of den divides num
+        (zero only over den = 1), which rejects a zero, non-monic or
         non-cyclotomic denominator and a pair with a common factor.
         """
         num, den = data["num"], data["den"]
@@ -288,8 +290,10 @@ class QRat:
         den = _trimmed(Fraction(c) for c in den)
         if any(c.denominator != 1 for c in den):
             raise ValueError(f"den must have integer coefficients: {data!r}")
-        # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k and the least
-        # index m = max(k * n_k) are both at most 2 * deg(den)^2
+        scale = math.lcm(*(c.denominator for c in num))
+        p = [c.numerator * (scale // c.denominator) for c in num]
+        # a Phi_k dividing den has phi(k) >= sqrt(k/2), so k is at most
+        # 2 * deg(den)^2
         bound = 2 * max(len(den) - 1, 1) ** 2
         rest, mult = [c.numerator for c in den], []
         for k in range(1, bound + 1):
@@ -301,12 +305,9 @@ class QRat:
                 while (quo := _divide_monic(rest, phi)) is not None:
                     rest, n = quo, n + 1
             mult.append(n)
-        if rest != [1]:
+        mult = _trimmed(mult)
+        if rest != [1] or (mult and not p) or any(
+                n and _divide_monic(p, _cyclotomic(k)) is not None
+                for k, n in enumerate(mult, start=1)):
             raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
-        scale = math.lcm(*(c.denominator for c in num))
-        v = QRat(tuple(c.numerator * (scale // c.denominator) for c in num), scale,
-                 tuple(_trimmed(mult)))
-        form = v.pochhammer_form(bound)
-        if form is None or QRat.over_pochhammer(form[1], form[0], form[2]) != v:
-            raise ValueError(f"not a reduced P(q)/(q;q)_m: {data!r}")
-        return v
+        return QRat(tuple(p), scale, tuple(mult))

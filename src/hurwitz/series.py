@@ -14,12 +14,12 @@ with power-sum vectors s = (p_1(m), ..., p_d(m)); it adds up the weights
 of equal s and evaluates the sum in one depth-first walk over the trie of
 the partitions of d (`_trie_walk`), in Python ints, dividing once.  Going
 down an edge k multiplies each distinct s's partial product w * p_rho by
-s_k; a leaf rho scales the sum of the products by d!/z_rho; coming back
-up is Horner's rule, one b_k per edge (the p -> h change of basis,
-Macdonald I.6).  No vector over rho outlives a step of the walk.  Inside
-this module a monomial g_nu is the integer sum_k m_k(nu) 256^(k-1) (a
-multiplicity is at most PARTITION_CAP < 256), so a product of monomials
-is one addition.
+s_k and divides the running d!/z by what the part adds to z; a leaf rho
+scales the sum of the products by the d!/z_rho so formed; coming back up
+is Horner's rule, one b_k per edge (the p -> h change of basis, Macdonald
+I.6).  No vector over rho outlives a step of the walk.  Inside this module
+a monomial g_nu is the integer sum_k m_k(nu) 256^(k-1) (`power_sum_total`
+keeps d <= PARTITION_CAP < 256), so a product of monomials is one addition.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import GPoly
-from .partitions import partitions_of, z_of
-
-
-@lru_cache(maxsize=None)
-def _fact_over_z(d: int) -> tuple[int, ...]:
-    """d!/z_rho for rho |- d in reverse-lexicographic order, which is the
-    order in which `_trie_walk` reaches the leaves of the trie."""
-    fact = math.factorial(d)
-    return tuple(fact // z_of(r) for r in partitions_of(d))
+from .partitions import PARTITION_CAP, CapExceeded
 
 
 def exponent(code: int) -> tuple[int, ...]:
@@ -58,21 +50,26 @@ def b_terms(k: int) -> dict[int, int]:
 
 
 def _trie_walk(n: int, top: int, prods: list[int], cols: Sequence[Sequence[int]],
-               ones: Sequence[Sequence[int]], u: Iterator[int]) -> Iterable[tuple[int, int]]:
+               ones: Sequence[Sequence[int]], u: int, run: int) -> Iterable[tuple[int, int]]:
     """S(n, top) = sum over rho |- n with parts <= top of u_rho x_rho b^rho,
     as (code, coefficient) pairs, where x_rho = sum over the live vectors s
     of prods_s p_rho(s), cols[k - 1] holds their s_k and ones[n] their
-    s_1^n: the sum over k <= top of b_k S(n - k, min(k, n - k)), with u
-    read in the order of the leaves."""
+    s_1^n: the sum over k <= top of b_k S(n - k, min(k, n - k)).  u is d!/z
+    of the parts above, run the number of them equal to top, and u_rho is
+    d!/z of those and rho; each division is exact, since the z of a
+    sub-multiset of a partition divides its z, which divides d!."""
     if top <= 1:                        # only rho = (1^n), and b_1^n = g_1^n
-        x = next(u) * sum(map(mul, prods, ones[n]))
+        x = u // math.perm(run + n, n) * sum(map(mul, prods, ones[n]))
         return ((n, x),) if x else ()
     acc: dict[int, int] = {}
     get = acc.get
     for k in range(top, 0, -1):
         bk = b_terms(k).items()
         child = list(map(mul, prods, cols[k - 1]))
-        for c1, x in _trie_walk(n - k, min(k, n - k), child, cols, ones, u):
+        r = run + 1 if k == top else 1          # the multiplicity of k so far
+        below = min(k, n - k)
+        for c1, x in _trie_walk(n - k, below, child, cols, ones, u // (k * r),
+                                r if below == k else 0):
             for c2, y in bk:
                 c = c1 + c2
                 acc[c] = get(c, 0) + x * y
@@ -82,7 +79,12 @@ def _trie_walk(n: int, top: int, prods: list[int], cols: Sequence[Sequence[int]]
 def power_sum_total(terms: Iterable[tuple[int, Iterable[int]]], d: int, den: int = 1) -> GPoly:
     """sum over (w, s) of w [beta^d] prod_i G(m_i beta), divided by den,
     where s = (p_1(m), ..., p_d(m)) holds the power sums of the integer
-    multipliers m; equal vectors are walked once, with their summed weight."""
+    multipliers m; equal vectors are walked once, with their summed weight.
+    d is at most PARTITION_CAP, so a multiplicity fits in its code's byte."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    if d > PARTITION_CAP:
+        raise CapExceeded(f"power_sum_total({d}) exceeds cap {PARTITION_CAP}")
     totals: dict[tuple[int, ...], int] = {}
     for w, s in terms:
         s = tuple(s)
@@ -90,5 +92,5 @@ def power_sum_total(terms: Iterable[tuple[int, Iterable[int]]], d: int, den: int
     live = {s: w for s, w in totals.items() if w}
     cols = [[s[k] for s in live] for k in range(d)]
     ones = [[1] * len(live)] + [[c ** n for c in cols[0]] for n in range(1, d + 1)]
-    walk = _trie_walk(d, d, list(live.values()), cols, ones, iter(_fact_over_z(d)))
+    walk = _trie_walk(d, d, list(live.values()), cols, ones, math.factorial(d), 0)
     return GPoly.from_int_terms({exponent(c): x for c, x in walk}, den * math.factorial(d))

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import pytest
 
-from hurwitz.qrational import QRat, _cyclotomic, _totient, q_multinomial
+from hurwitz.qrational import (QRat, _cyclotomic, _divide_monic, _int_mul, _totient,
+                               q_multinomial)
 
 
 def poly(coeffs):
@@ -173,6 +174,94 @@ def test_from_json_rejects_a_large_noncyclotomic_denominator_quickly():
     with pytest.raises(ValueError):
         QRat.from_json({"num": ["1"], "den": den})
     assert time.perf_counter() - t0 < 0.5
+
+
+def rebuilt_verdict(data):
+    """The reference verdict on a pair of rational strings with an integer
+    den: factor den into Phi_k multiplicities, rebuild the value through
+    pochhammer_form and over_pochhammer, and accept only a value that comes
+    back unchanged."""
+    num = poly(Fraction(c) for c in data["num"])
+    rest = [int(c) for c in poly(Fraction(c) for c in data["den"])]
+    bound = 2 * max(len(rest) - 1, 1) ** 2
+    mult = []
+    for k in range(1, bound + 1):
+        if len(rest) <= 1:
+            break
+        n = 0
+        if _totient(k) < len(rest):
+            while (quo := _divide_monic(rest, _cyclotomic(k))) is not None:
+                rest, n = quo, n + 1
+        mult.append(n)
+    if rest != [1]:
+        return False
+    while mult and not mult[-1]:
+        mult.pop()
+    scale = math.lcm(*(c.denominator for c in num))
+    v = QRat(tuple(int(c * scale) for c in num), scale, tuple(mult))
+    form = v.pochhammer_form(bound)
+    return form is not None and QRat.over_pochhammer(form[1], form[0], form[2]) == v
+
+
+def _times_phi(coeffs, k):
+    """Rational coefficient strings times Phi_k, as strings."""
+    p = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in p))
+    return [str(Fraction(c, scale))
+            for c in _int_mul([int(c * scale) for c in p], _cyclotomic(k))]
+
+
+def _seeded_pairs(rng, count):
+    """count pairs of each of four kinds, each with the value it was made
+    from when it is that value's to_json pair."""
+    pochhammers = [[int(c) for c in pochhammer(j)] for j in range(4)]
+
+    def value():
+        num = [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
+        num = _int_mul(num, rng.choice(pochhammers))
+        return QRat.over_pochhammer(num, rng.randint(0, 8), rng.choice([1, 2, 3, -4, 6, 12]))
+
+    for _ in range(count):
+        v = value()
+        data = v.to_json()
+        yield data, v
+        k = rng.randint(1, 10)                  # a common factor
+        yield {"num": _times_phi(data["num"], k), "den": _times_phi(data["den"], k)}, None
+        den = [rng.randint(-2, 2) for _ in range(rng.randint(1, 6))] + [1]
+        yield {"num": value().to_json()["num"], "den": [str(c) for c in den]}, None
+        num = [str(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+               for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:
+            num = _times_phi(num, rng.randint(1, 10))
+        yield {"num": num, "den": value().to_json()["den"]}, None
+
+
+def test_from_json_verdict_matches_the_rebuilt_value():
+    # from_json reads the stored multiplicities; the reference rebuilds the
+    # value over (q;q)_m and compares, on 10,000 seeded pairs
+    rejected = 0
+    for data, v in _seeded_pairs(random.Random(28), 2500):
+        ok = rebuilt_verdict(data)
+        try:
+            got = QRat.from_json(data)
+        except ValueError:
+            assert not ok, data
+            rejected += 1
+        else:
+            assert ok, data
+            assert v is None or got == v
+    assert 2500 < rejected < 7500, rejected
+
+
+def test_from_json_accepts_a_single_cyclotomic_denominator_quickly():
+    # m = k for 1 / Phi_k: rebuilding the numerator over (q;q)_k, of degree
+    # about k^2/2, took seconds; reading the multiplicities takes milliseconds
+    data = [{"num": ["1"], "den": [str(c) for c in _cyclotomic(k)]} for k in (89, 113)]
+    _cyclotomic.cache_clear()
+    t0 = time.perf_counter()
+    values = [QRat.from_json(x) for x in data]
+    assert time.perf_counter() - t0 < 0.25
+    assert [v.den for v in values] == [_cyclotomic(89), _cyclotomic(113)]
 
 
 def test_q_multinomial():

@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from hurwitz import correlator, series, tau
 from hurwitz.algebra import GPoly
-from hurwitz.partitions import partitions_of, z_of
+from hurwitz.partitions import PARTITION_CAP, CapExceeded, partitions_of, z_of
 from hurwitz.series import b_terms, exponent, power_sum_total
 
 g = GPoly.var
@@ -154,11 +156,11 @@ def test_power_sum_total_edge_cases_match_composition_sum():
 
 
 def test_series_state_stays_bounded():
-    # the walk keeps no table per rho: series holds two caches, each with
-    # at most one entry per degree or part
+    # the walk keeps no table per rho and forms d!/z_rho on the way down:
+    # series holds one cache, b_terms, with at most one entry per part
     caches = {name: f for name, f in vars(series).items()
               if hasattr(f, "cache_info") and f.__module__ == series.__name__}
-    assert len(caches) == 2, sorted(caches)
+    assert len(caches) == 1, sorted(caches)
     for cache in caches.values():
         cache.cache_clear()
     d = 20
@@ -167,6 +169,21 @@ def test_series_state_stays_bounded():
     assert power_sum_total(pairs, d).is_homogeneous(d)
     assert all(f.cache_info().currsize <= d + 1 for f in caches.values()), \
         {name: f.cache_info().currsize for name, f in caches.items()}
+
+
+def test_power_sum_total_guards_the_ceiling():
+    # a monomial code keeps each multiplicity in one byte, so the walk
+    # refuses d above PARTITION_CAP itself, whichever pipeline calls it
+    d = PARTITION_CAP + 1
+    with pytest.raises(CapExceeded):
+        power_sum_total([(1, (1,) * d)], d)
+    with pytest.raises(CapExceeded):
+        tau.hurwitz_any((2,), d)
+    with pytest.raises(CapExceeded):
+        correlator.rho_coeff(0, 0, d)
+    with pytest.raises(ValueError):
+        power_sum_total([], -1)
+    assert power_sum_total([(1, (0,) * PARTITION_CAP)], PARTITION_CAP).is_zero()
 
 
 def test_pipelines_keep_no_vector_over_rho():

@@ -338,3 +338,17 @@ def test_result_json_rejects_a_far_index_before_building_it():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_result_json_rejects_a_term_above_the_ceiling_before_building_it():
+    # the term's degree matches d, but compute writes only [] above the
+    # ceiling; its exponent tuple would take 16 MB here
+    import tracemalloc
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="above the ceiling"):
+        HurwitzResult.from_json(_result(2_000_000, [{"exp": {"2000000": 1},
+                                                     "num": "1", "den": "1"}]))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1_000_000
+    assert HurwitzResult.from_json(_result(2_000_000, [])).value.is_zero()
